@@ -94,9 +94,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     for name in sorted(SCENARIOS):
-        spec = SCENARIOS[name]
-        episodes = spec.defaults()["episodes"]
-        print(f"{name:<18} {spec.description} (default {episodes} episodes)")
+        episodes = ScenarioConfig.from_mapping({"name": name}).episodes
+        print(f"{name:<18} {SCENARIOS[name].description} (default {episodes} episodes)")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from cogfabric.core import (
     HashingEmbedder,
     Intent,
     Payload,
+    ZeroVectorError,
 )
 from cogfabric.grounding import (
     TAU_SOFT,
@@ -268,7 +269,12 @@ class FabricNode:
             task = self.embedder.embed(envelope.addressing.description)
             try:
                 receiver = self.router.dispatch(task, self.epsilon, self.rng, among=among)
-            except (NoAgentsError, NoCapableAgentError, UnknownAgentError) as err:
+            except (
+                NoAgentsError,
+                NoCapableAgentError,
+                UnknownAgentError,
+                ZeroVectorError,
+            ) as err:
                 return InterceptResult(
                     delivered=False,
                     receiver=None,
@@ -394,10 +400,8 @@ class FabricNode:
                 complexity=complexity,
                 route=route,
             )
-        if self.memory is not None:
-            latency.l_memory_lookup += 1.0
-        if self.security is not None:
-            latency.l_inference += 1.0
+        latency.l_memory_lookup += 1.0
+        latency.l_inference += 1.0
         return self._deliver(
             envelope,
             receiver,
@@ -537,21 +541,23 @@ class FabricNode:
     def _apply_payload(self, delta: PolicyDelta) -> None:
         payload = delta.payload
         if delta.kind == "security-rule":
-            if not self._wins(("rule", payload["id"]), (delta.counter, delta.origin)):
+            try:
+                rule = Rule(
+                    id=payload["id"],
+                    kind=RuleKind(payload["kind"]),
+                    pattern=payload.get("pattern", ""),
+                    priority=payload.get("priority", 100),
+                    message=payload.get("message", ""),
+                    required_tag=payload.get("required_tag"),
+                    guarded_action=payload.get("action"),
+                )
+            except ValueError:
+                return  # one peer's malformed rule must not disable every node
+            if not self._wins(("rule", rule.id), (delta.counter, delta.origin)):
                 return
-            rule = Rule(
-                id=payload["id"],
-                kind=RuleKind(payload["kind"]),
-                pattern=payload.get("pattern", ""),
-                priority=payload.get("priority", 100),
-                message=payload.get("message", ""),
-                required_tag=payload.get("required_tag"),
-                guarded_action=payload.get("action"),
-            )
             kept = [r for r in self.security.rules if r.id != rule.id]
             kept.append(rule)
             self.security.rules = sorted(kept, key=lambda r: (r.priority, r.id))
-            self.security._compiled.pop(rule.id, None)
         elif delta.kind == "ontology-term":
             if not self._wins(("term", payload["term"]), (delta.counter, delta.origin)):
                 return

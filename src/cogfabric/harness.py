@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 from random import Random
 from string import Formatter
-from typing import IO, Any, Callable
+from typing import IO, Any
 
 import yaml
 
@@ -66,6 +68,19 @@ _TASK_FIELDS = {"sender", "templates", "pool", "clarify", "memory", "ontology"}
 _TOP_FIELDS = {"name", "seed", "episodes", "agents", "edges", "fabric", "tasks"}
 
 _MODES = {m.value: m for m in DeploymentMode}
+
+_SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+
+@cache
+def _packaged(name: str) -> dict:
+    """The packaged file of scenario `name`, parsed once per process.
+
+    Every caller shares the returned mapping, so nothing may mutate it.
+    """
+    path = _SCENARIO_DIR / f"{name.replace('-', '_')}.yaml"
+    with open(path, encoding="utf-8") as fp:
+        return yaml.safe_load(fp)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -389,17 +404,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, data: Any) -> "ScenarioConfig":
+        """Validate `data`; fields it leaves out come from the packaged file
+        of the scenario it names, with `fabric` merged field by field."""
         _require(isinstance(data, dict), "scenario config must be a mapping")
         _no_unknown(data, _TOP_FIELDS, "")
         name = data.get("name")
         _require(isinstance(name, str) and bool(name), "missing field 'name'")
-        spec = SCENARIOS.get(name)
-        if spec is None:
+        if name not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}"
             )
-        base = spec.defaults()
-        seed = data.get("seed", 0)
+        base = _packaged(name)
+        seed = data.get("seed", base["seed"])
         _require(
             isinstance(seed, int) and not isinstance(seed, bool),
             "'seed' must be an integer",
@@ -634,7 +650,7 @@ class _Collector:
 
 
 # ---------------------------------------------------------------------------
-# World construction shared by the drivers
+# The episode loop and the hop plans it runs
 # ---------------------------------------------------------------------------
 
 def _build_node(config: ScenarioConfig, embedder: HashingEmbedder) -> FabricNode:
@@ -695,141 +711,146 @@ def _ceiling_p(spec: AgentSpec) -> float:
     return spec.boosted if spec.boosted is not None else spec.success
 
 
-def _base_report(config: ScenarioConfig) -> MetricsReport:
-    return MetricsReport(
-        scenario=config.name, seed=config.seed, episodes=config.episodes
-    )
+def _tokens_added(result: InterceptResult) -> int:
+    return result.transform.tokens_added if result.transform else 0
 
 
-# ---------------------------------------------------------------------------
-# Driver: routed tasks (bandit-5arm, expert-discovery, entity-swarm)
-# ---------------------------------------------------------------------------
+class _Run:
+    """One run's world: the node, its peers, the counters, one way to send."""
 
-def _drive_routed(config: ScenarioConfig) -> MetricsReport:
-    embedder = HashingEmbedder()
-    node = _build_node(config, embedder)
-    gossip_rounds = _sync_peers(config, node, embedder)
-    fs = config.fabric
-    by_id = {a.id: a for a in config.agents}
-    pending = sorted(config.agents, key=lambda a: (a.arrival, a.id))
-    task_rng = Random(config.seed)
-    outcome_rng = Random(config.seed + 1)
-    collector = _Collector()
-    counts: dict = {}
-    tail: list = []
-    rewards: list = []
-    curve: list = []
-    regret = 0.0
-    completed = 0
-    informed = 0
-    has_requires = any(row.get("requires") for row in config.tasks.pool)
-    records: list = []
-    tail_start = max(0, config.episodes - _TAIL_WINDOW)
-    for ep in range(config.episodes):
-        while pending and pending[0].arrival <= ep:
-            spec = pending.pop(0)
+    def __init__(self, config: ScenarioConfig) -> None:
+        self.config = config
+        self.embedder = HashingEmbedder()
+        self.node = _build_node(config, self.embedder)
+        self.gossip_rounds = _sync_peers(config, self.node, self.embedder)
+        self.outcome_rng = Random(config.seed + 1)
+        self.collector = _Collector()
+
+    def send(
+        self,
+        sender: str,
+        text: str,
+        *,
+        to: str | None = None,
+        intent: str | None = None,
+    ) -> InterceptResult:
+        """Deliver one hop: through the fabric, or directly when it is off.
+
+        A direct delivery hands the text over unmodified and unchecked; an
+        intent still goes through the router, as the fabric would route it.
+        """
+        node = self.node
+        if self.config.fabric.enabled:
+            result = node.intercept(make_envelope(sender, text, to=to, intent=intent))
+            self.collector.observe(text, result)
+            return result
+        if to is None:
+            task = self.embedder.embed(intent)
+            to = node.router.dispatch(task, node.epsilon, node.rng)
+        self.collector.observe_direct(text)
+        return InterceptResult(delivered=True, receiver=to, text=text)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """What one episode's hop plan hands back to the loop."""
+
+    success: bool
+    p_eff: float  # the task's success probability; 0 when it was not delivered
+    p_best: float  # the best probability on offer this episode, for regret
+    reward: float
+    tokens_added: int
+    learned_from: str | None  # text whose entities update the ontology
+    record: dict  # the episode record's fields besides episode and success
+
+
+class _Routed:
+    """Hop plan of bandit-5arm, expert-discovery and entity-swarm.
+
+    Agents register at their arrival episode and exploration decays. The task
+    goes out by intent, so the router picks the receiver, and the outcome
+    feeds the router back. A failed task sends the optional clarify question
+    back to the task sender; the episode stays failed, there is no retry.
+    """
+
+    def __init__(self, run: _Run) -> None:
+        self.run = run
+        agents = run.config.agents
+        self.by_id = {a.id: a for a in agents}
+        self.pending = sorted(agents, key=lambda a: (a.arrival, a.id))
+        self.tail_start = max(0, run.config.episodes - _TAIL_WINDOW)
+        self.counts: dict = {}
+        self.tail: list = []
+        self.informed = 0
+
+    def play(self, ep: int, row: dict, text: str, u_outcome: float) -> _Step:
+        run, node, config = self.run, self.run.node, self.run.config
+        fs = config.fabric
+        while self.pending and self.pending[0].arrival <= ep:
+            spec = self.pending.pop(0)
             node.router.register_agent(
-                AgentProfile.from_skill(embedder, spec.id, spec.skill), cost=spec.cost
+                AgentProfile.from_skill(run.embedder, spec.id, spec.skill),
+                cost=spec.cost,
             )
         node.epsilon = fs.epsilon * fs.epsilon_decay**ep
-        row = config.tasks.pool[task_rng.randrange(len(config.tasks.pool))]
-        template = config.tasks.templates[
-            task_rng.randrange(len(config.tasks.templates))
-        ]
-        text = _render(template, row)
         requires = row.get("requires", ())
-        u_outcome = outcome_rng.random()
-        task_vec = embedder.embed(text)
-        if fs.enabled:
-            result = node.intercept(
-                make_envelope(config.tasks.sender, text, intent=text)
-            )
-            collector.observe(text, result)
-            receiver = result.receiver
-            delivered = result.delivered
-            payload_text = result.payload.text if result.delivered else None
-            tokens_added = result.transform.tokens_added if result.transform else 0
-        else:
-            receiver = node.router.dispatch(task_vec, node.epsilon, node.rng)
-            collector.observe_direct(text)
-            delivered = True
-            payload_text = text
-            tokens_added = 0
-        spec = by_id[receiver] if receiver is not None else None
-        p_eff = _effective_p(spec, requires, payload_text) if spec else 0.0
+        result = run.send(config.tasks.sender, text, intent=text)
+        receiver, payload_text = result.receiver, result.text
+        spec = self.by_id[receiver] if receiver is not None else None
+        p_eff = _effective_p(spec, requires, payload_text) if result.delivered else 0.0
         if (
             requires
             and payload_text is not None
             and all(t in payload_text for t in requires)
         ):
-            informed += 1
-        success = delivered and u_outcome < p_eff
+            self.informed += 1
+        success = u_outcome < p_eff
         reward = 0.0
-        if delivered and spec is not None:
+        if result.delivered and spec is not None:
             lo, hi = spec.latency
-            agent_latency = outcome_rng.uniform(lo, hi) if hi > lo else lo
+            agent_latency = run.outcome_rng.uniform(lo, hi) if hi > lo else lo
             reward, _ = node.router.record_outcome(
                 receiver,
-                task_vec,
+                run.embedder.embed(text),
                 success=success,
                 cost=spec.cost,
                 latency=agent_latency,
             )
-        rewards.append(reward)
         if receiver is not None:
-            counts[receiver] = counts.get(receiver, 0) + 1
-            if ep >= tail_start:
-                tail.append(receiver)
-        active = [a for a in config.agents if a.arrival <= ep]
-        best_p = max(_ceiling_p(a) for a in active)
-        regret += best_p - (p_eff if delivered else 0.0)
-        curve.append(regret)
-        collector.losses.append(compute_loss(reward, tokens_added, fs.loss_lambda))
-        if success:
-            completed += 1
-        elif config.tasks.clarify is not None and receiver is not None:
+            self.counts[receiver] = self.counts.get(receiver, 0) + 1
+            if ep >= self.tail_start:
+                self.tail.append(receiver)
+        if not success and config.tasks.clarify is not None and receiver is not None:
             question = _render(config.tasks.clarify, row)
-            if fs.enabled:
-                back = node.intercept(
-                    make_envelope(receiver, question, to=config.tasks.sender)
-                )
-                collector.observe(question, back)
-            else:
-                collector.observe_direct(question)
-        if delivered and payload_text is not None:
-            terms = extract_entities(payload_text)
-            if terms:
-                node.ontology.update([(terms, success)])
-        records.append(
-            {"episode": ep, "agent": receiver, "success": success, "reward": reward}
+            run.send(receiver, question, to=config.tasks.sender)
+        return _Step(
+            success=success,
+            p_eff=p_eff,
+            p_best=max(_ceiling_p(a) for a in config.agents if a.arrival <= ep),
+            reward=reward,
+            tokens_added=_tokens_added(result),
+            learned_from=payload_text,
+            record={"agent": receiver, "reward": reward},
         )
-    report = _base_report(config)
-    collector.fill(report)
-    report.completed = completed
-    report.success_rate = completed / config.episodes
-    report.mean_reward = sum(rewards) / len(rewards)
-    report.selection_shares = {
-        a.id: counts.get(a.id, 0) / config.episodes for a in config.agents
-    }
-    report.regret_curve = curve
-    report.gossip_rounds = gossip_rounds
-    report.messages_per_completed = (
-        collector.messages / completed if completed else None
-    )
-    half = config.episodes // 2
-    extras = {
-        "regret_first_half": curve[half - 1] if half else 0.0,
-        "regret_second_half": curve[-1] - (curve[half - 1] if half else 0.0),
-    }
-    best_agent = max(config.agents, key=lambda a: (_ceiling_p(a), a.id)).id
-    tail_share = tail.count(best_agent) / len(tail) if tail else 0.0
-    extras[f"tail_share_{best_agent}"] = tail_share
-    if has_requires:
-        extras["informed_rate"] = informed / config.episodes
-    report.extras = extras
-    report.records = records
-    report.checks = _routed_checks(config, report, tail_share)
-    return report
+
+    def finish(self, report: MetricsReport) -> None:
+        config = self.run.config
+        report.selection_shares = {
+            a.id: self.counts.get(a.id, 0) / config.episodes for a in config.agents
+        }
+        curve = report.regret_curve
+        half = config.episodes // 2
+        first_half = curve[half - 1] if half else 0.0
+        best_agent = max(config.agents, key=lambda a: (_ceiling_p(a), a.id)).id
+        tail_share = self.tail.count(best_agent) / len(self.tail) if self.tail else 0.0
+        report.extras = {
+            "regret_first_half": first_half,
+            "regret_second_half": curve[-1] - first_half,
+            f"tail_share_{best_agent}": tail_share,
+        }
+        if any(row.get("requires") for row in config.tasks.pool):
+            report.extras["informed_rate"] = self.informed / config.episodes
+        report.checks = _routed_checks(config, report, tail_share)
 
 
 def _routed_checks(
@@ -849,12 +870,8 @@ def _routed_checks(
     return checks
 
 
-# ---------------------------------------------------------------------------
-# Driver: scripted multi-hop hand-off (hotpot-like)
-# ---------------------------------------------------------------------------
-
-def _drive_hotpot(config: ScenarioConfig) -> MetricsReport:
-    """Two-hop evidence hand-off over an enforced communication graph.
+class _Relay:
+    """Hop plan of hotpot-like: a two-hop evidence hand-off.
 
     The first four agents act as researcher, analyst, critic, and
     synthesizer. Each episode relays one question researcher -> analyst ->
@@ -862,228 +879,123 @@ def _drive_hotpot(config: ScenarioConfig) -> MetricsReport:
     made it into its payload. One forbidden edge is probed per episode to
     confirm the graph is enforced.
     """
-    _require(len(config.agents) >= 4, "hotpot-like needs at least four agents")
-    embedder = HashingEmbedder()
-    node = _build_node(config, embedder)
-    gossip_rounds = _sync_peers(config, node, embedder)
-    researcher, analyst, _critic, synthesizer = (a.id for a in config.agents[:4])
-    synth_spec = config.agents[3]
-    task_rng = Random(config.seed)
-    outcome_rng = Random(config.seed + 1)
-    collector = _Collector()
-    completed = 0
-    edge_rejections = 0
-    curve: list = []
-    regret = 0.0
-    records: list = []
-    for ep in range(config.episodes):
-        row = config.tasks.pool[task_rng.randrange(len(config.tasks.pool))]
-        template = config.tasks.templates[
-            task_rng.randrange(len(config.tasks.templates))
-        ]
-        text = _render(template, row)
-        requires = row.get("requires", ())
-        u_outcome = outcome_rng.random()
-        hop1 = node.intercept(make_envelope(researcher, text, to=analyst))
-        collector.observe(text, hop1)
-        hop2 = node.intercept(make_envelope(analyst, text, to=synthesizer))
-        collector.observe(text, hop2)
-        probe = node.intercept(make_envelope(synthesizer, "status?", to=analyst))
-        collector.observe("status?", probe)
+
+    def __init__(self, run: _Run) -> None:
+        agents = run.config.agents
+        _require(len(agents) >= 4, "hotpot-like needs at least four agents")
+        self.run = run
+        self.researcher, self.analyst, _critic, self.synthesizer = agents[:4]
+        self.edge_rejections = 0
+
+    def play(self, ep: int, row: dict, text: str, u_outcome: float) -> _Step:
+        send = self.run.send
+        researcher, analyst = self.researcher.id, self.analyst.id
+        synthesizer = self.synthesizer.id
+        send(researcher, text, to=analyst)
+        hop2 = send(analyst, text, to=synthesizer)
+        probe = send(synthesizer, "status?", to=analyst)
         if not probe.delivered and probe.reason == "edge-not-allowed":
-            edge_rejections += 1
-        payload_text = hop2.payload.text if hop2.delivered else None
-        p_eff = _effective_p(synth_spec, requires, payload_text)
-        success = hop2.delivered and u_outcome < p_eff
-        if success:
-            completed += 1
-        regret += _ceiling_p(synth_spec) - (p_eff if hop2.delivered else 0.0)
-        curve.append(regret)
-        tokens_added = hop2.transform.tokens_added if hop2.transform else 0
-        collector.losses.append(
-            compute_loss(
-                1.0 if success else 0.0, tokens_added, config.fabric.loss_lambda
-            )
+            self.edge_rejections += 1
+        p_eff = (
+            _effective_p(self.synthesizer, row.get("requires", ()), hop2.text)
+            if hop2.delivered
+            else 0.0
         )
-        terms = extract_entities(text)
-        if terms:
-            node.ontology.update([(terms, success)])
-        records.append(
-            {"episode": ep, "question": row.get("artifact"), "success": success}
+        success = u_outcome < p_eff
+        return _Step(
+            success=success,
+            p_eff=p_eff,
+            p_best=_ceiling_p(self.synthesizer),
+            reward=1.0 if success else 0.0,
+            tokens_added=_tokens_added(hop2),
+            learned_from=text,
+            record={"question": row.get("artifact")},
         )
-    report = _base_report(config)
-    collector.fill(report)
-    report.completed = completed
-    report.success_rate = completed / config.episodes
-    report.mean_reward = report.success_rate
-    report.regret_curve = curve
-    report.gossip_rounds = gossip_rounds
-    report.messages_per_completed = (
-        collector.messages / completed if completed else None
-    )
-    report.extras = {"edge_rejections": float(edge_rejections)}
-    report.checks = {
-        "multi-hop-success": report.success_rate >= 0.9,
-        "edge-enforcement": edge_rejections == config.episodes,
-    }
-    report.records = records
-    return report
 
-
-# ---------------------------------------------------------------------------
-# Built-in scenarios
-# ---------------------------------------------------------------------------
-
-_HOTPOT_VAULTS = "ABCD"
-_HOTPOT_ROLES = ("researcher", "analyst", "critic", "synthesizer")
-_HOTPOT_EDGES = (
-    ("researcher", "analyst"),
-    ("researcher", "synthesizer"),
-    ("analyst", "critic"),
-    ("analyst", "synthesizer"),
-    ("critic", "researcher"),
-    ("critic", "synthesizer"),
-)
-_SWARM_INCIDENTS = (
-    ("payment", "Payment-Gateway"),
-    ("search", "Search-Index"),
-    ("login", "Auth-Service"),
-    ("billing", "Billing-Queue"),
-)
-
-
-def _bandit_defaults() -> dict:
-    probs = (0.9, 0.5, 0.4, 0.3, 0.2)
-    return {
-        "episodes": 2000,
-        "agents": [
-            {"id": f"arm-{i}", "skill": "general task execution", "success": p}
-            for i, p in enumerate(probs)
-        ],
-        "fabric": {"epsilon": 0.1, "epsilon_decay": 0.995},
-        "tasks": {"templates": ["Complete the assigned task."], "pool": [{}]},
-    }
-
-
-def _expert_defaults() -> dict:
-    skill = "resolves customer escalations end to end"
-    return {
-        "episodes": 2000,
-        "agents": [
-            {"id": "incumbent", "skill": skill, "success": 0.7},
-            {"id": "newcomer", "skill": skill, "success": 0.9, "arrival": 500},
-        ],
-        "fabric": {"epsilon": 0.1},
-        "tasks": {"templates": ["Resolve the customer escalation."], "pool": [{}]},
-    }
-
-
-def _hotpot_defaults() -> dict:
-    n = 12
-    pool = []
-    memory = []
-    ontology = []
-    for i in range(n):
-        vault = f"Vault-{_HOTPOT_VAULTS[i % 4]}"
-        pool.append({"artifact": f"Artifact-{i}", "requires": [f"Entity-{i}", vault]})
-        memory.append(f"Artifact-{i} was built by Entity-{i}.")
-        memory.append(f"Artifact-{i} is stored in {vault}.")
-        ontology.append([f"Artifact-{i}", 0.9, "permanent"])
-        ontology.append([f"Entity-{i}", 0.9, "permanent"])
-    for letter in _HOTPOT_VAULTS:
-        ontology.append([f"Vault-{letter}", 0.9, "permanent"])
-    return {
-        "episodes": 100,
-        "agents": [
-            {"id": role, "skill": f"acts as the {role}", "success": 1.0}
-            for role in _HOTPOT_ROLES[:3]
-        ]
-        + [
-            {
-                "id": "synthesizer",
-                "skill": "acts as the synthesizer",
-                "success": 0.0,
-                "boosted": 1.0,
+    def finish(self, report: MetricsReport) -> None:
+        config = self.run.config
+        report.extras = {"edge_rejections": float(self.edge_rejections)}
+        if config.fabric.enabled:  # both checks are properties of the fabric
+            report.checks = {
+                "multi-hop-success": report.success_rate >= 0.9,
+                "edge-enforcement": self.edge_rejections == config.episodes,
             }
-        ],
-        "edges": [list(e) for e in _HOTPOT_EDGES],
-        "tasks": {
-            "sender": "researcher",
-            # naming the artifact twice weights retrieval toward both of its
-            # facts, so the top hits are the built-by and stored-in lines
-            # rather than same-shaped facts about other artifacts
-            "templates": ["Who built {artifact} and where is {artifact} stored?"],
-            "pool": pool,
-            "memory": memory,
-            "ontology": ontology,
-        },
-    }
-
-
-def _swarm_defaults() -> dict:
-    return {
-        "episodes": 1000,
-        "agents": [
-            {
-                "id": "resolver",
-                "skill": "resolves production incidents",
-                "success": 0.15,
-                "boosted": 0.95,
-            }
-        ],
-        "fabric": {"enabled": True},
-        "tasks": {
-            "sender": "coordinator",
-            "templates": ["Resolve the {name} incident."],
-            "clarify": "Which component does the {name} incident involve?",
-            "pool": [
-                {"name": name, "requires": component}
-                for name, component in _SWARM_INCIDENTS
-            ],
-            "memory": [
-                f"The {name} incident involves component {component}."
-                for name, component in _SWARM_INCIDENTS
-            ],
-            "ontology": [
-                [component, 0.9, "permanent"] for _, component in _SWARM_INCIDENTS
-            ],
-        },
-    }
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    driver: Callable[[ScenarioConfig], MetricsReport]
+    plan: type[_Routed] | type[_Relay]
     description: str
-    defaults: Callable[[], dict]
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     "bandit-5arm": ScenarioSpec(
-        driver=_drive_routed,
+        plan=_Routed,
         description="five interchangeable arms, one clearly best; decaying exploration",
-        defaults=_bandit_defaults,
     ),
     "expert-discovery": ScenarioSpec(
-        driver=_drive_routed,
+        plan=_Routed,
         description="a stronger specialist joins mid-run and should take over traffic",
-        defaults=_expert_defaults,
     ),
     "hotpot-like": ScenarioSpec(
-        driver=_drive_hotpot,
+        plan=_Relay,
         description="two-hop evidence hand-off over an enforced four-agent graph",
-        defaults=_hotpot_defaults,
     ),
     "entity-swarm": ScenarioSpec(
-        driver=_drive_routed,
+        plan=_Routed,
         description="vague incident tasks that succeed only with injected context",
-        defaults=_swarm_defaults,
     ),
 }
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
-    return SCENARIOS[config.name].driver(config)
+    """Run every episode of a scenario; the one loop all scenarios share.
+
+    Each episode draws a pool row and then a template from the task stream,
+    and one number from the outcome stream. The scenario's hop plan sends
+    the messages and returns what happened; the loop keeps the books.
+    """
+    run = _Run(config)
+    plan = SCENARIOS[config.name].plan(run)
+    task_rng = Random(config.seed)
+    pool, templates = config.tasks.pool, config.tasks.templates
+    rewards: list = []
+    curve: list = []
+    records: list = []
+    regret = 0.0
+    completed = 0
+    for ep in range(config.episodes):
+        row = pool[task_rng.randrange(len(pool))]
+        text = _render(templates[task_rng.randrange(len(templates))], row)
+        step = plan.play(ep, row, text, run.outcome_rng.random())
+        if step.success:
+            completed += 1
+        regret += step.p_best - step.p_eff
+        curve.append(regret)
+        rewards.append(step.reward)
+        run.collector.losses.append(
+            compute_loss(step.reward, step.tokens_added, config.fabric.loss_lambda)
+        )
+        if step.learned_from is not None:
+            terms = extract_entities(step.learned_from)
+            if terms:
+                run.node.ontology.update([(terms, step.success)])
+        records.append({"episode": ep, "success": step.success, **step.record})
+    report = MetricsReport(
+        scenario=config.name, seed=config.seed, episodes=config.episodes
+    )
+    run.collector.fill(report)
+    report.completed = completed
+    report.success_rate = completed / config.episodes
+    report.mean_reward = sum(rewards) / len(rewards)
+    report.regret_curve = curve
+    report.gossip_rounds = run.gossip_rounds
+    report.messages_per_completed = (
+        run.collector.messages / completed if completed else None
+    )
+    report.records = records
+    plan.finish(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,18 @@ class Rule:
     message: str = ""
     required_tag: str | None = None
     guarded_action: str | None = None
+    regex: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind in (RuleKind.BLOCK, RuleKind.REDACT) and not self.pattern:
             raise ValueError(f"rule {self.id!r}: {self.kind.value} needs a pattern")
         if self.kind is RuleKind.RBAC and not (self.required_tag and self.guarded_action):
             raise ValueError(f"rule {self.id!r}: rbac needs required_tag and guarded_action")
+        try:
+            regex = re.compile(self.pattern)
+        except re.error as err:
+            raise ValueError(f"rule {self.id!r}: invalid pattern: {err}") from None
+        object.__setattr__(self, "regex", regex)
 
 
 DEFAULT_RULES: list[Rule] = [
@@ -368,16 +374,8 @@ class SecurityEngine:
         self.base_threshold = base_threshold
         self.threshold_floor = threshold_floor
         self.kappa = kappa
-        self._compiled: dict[str, re.Pattern[str]] = {}
         self._windows: dict[str, deque[float]] = {}
         self.suspended_senders: set[str] = set()
-
-    def _regex(self, rule: Rule) -> re.Pattern[str]:
-        got = self._compiled.get(rule.id)
-        if got is None:
-            got = re.compile(rule.pattern)
-            self._compiled[rule.id] = got
-        return got
 
     # -- layer 1: rules ------------------------------------------------------
 
@@ -398,7 +396,7 @@ class SecurityEngine:
         out_text = text
         for rule in self.rules:
             if rule.kind is RuleKind.BLOCK:
-                if self._regex(rule).search(out_text):
+                if rule.regex.search(out_text):
                     triggered.append(rule.id)
                     return RuleOutcome(
                         safe=False,
@@ -408,7 +406,7 @@ class SecurityEngine:
                         message=rule.message or f"blocked by rule {rule.id}",
                     )
             elif rule.kind is RuleKind.REDACT:
-                new_text, n = self._regex(rule).subn(REDACTED, out_text)
+                new_text, n = rule.regex.subn(REDACTED, out_text)
                 if n:
                     triggered.append(rule.id)
                     out_text = new_text

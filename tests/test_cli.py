@@ -20,6 +20,9 @@ def test_list_scenarios_names_all_four(capsys):
     out = capsys.readouterr().out
     for name in ("bandit-5arm", "expert-discovery", "hotpot-like", "entity-swarm"):
         assert name in out
+    assert "(default 100 episodes)" in next(
+        line for line in out.splitlines() if line.startswith("hotpot-like")
+    )
 
 
 def test_validate_accepts_a_bare_builtin_name(capsys):

@@ -12,6 +12,7 @@ from cogfabric.fabric import (
     DeploymentMode,
     FabricNode,
     ModeMismatchError,
+    PolicyDelta,
     RouteDecision,
     complexity_score,
     expected_propagation_rounds,
@@ -69,6 +70,15 @@ def test_unroutable_intent_is_rejected_not_raised():
     result = n.intercept(make_envelope("alice", "hello", intent="do anything"))
     assert not result.delivered
     assert result.reason.startswith("no-route")
+
+
+def test_blank_intent_is_rejected_not_raised():
+    r = router_with(("coder", "writes python code"))
+    n = node(router=r)
+    result = n.intercept(make_envelope("alice", "hello", intent="???"))
+    assert not result.delivered
+    assert result.reason.startswith("no-route")
+    assert r.state("coder").l_load == 0
 
 
 def test_disallowed_edge_is_rejected_and_releases_the_dispatch_slot():
@@ -365,6 +375,21 @@ def test_capability_state_is_last_write_wins_by_tick():
     assert forward.router.state("w").mu_perf == {0: 0.9}
     assert backward.router.state("w").mu_perf == {0: 0.9}
     assert forward.version_vector == backward.version_vector
+
+
+def test_malformed_gossiped_rule_is_skipped():
+    n = node(node_id="n")
+    bad = PolicyDelta(
+        origin="peer",
+        counter=1,
+        kind="security-rule",
+        payload={"id": "bad", "kind": "block", "pattern": "("},
+    )
+    assert n.apply_delta(bad) is DeltaStatus.APPLIED
+    assert n.version_vector == {"peer": 1}
+    assert all(rule.id != "bad" for rule in n.security.rules)
+    result = n.intercept(make_envelope("alice", "please summarize the meeting", to="bob"))
+    assert result.delivered
 
 
 def test_unknown_delta_kind_is_rejected():

@@ -120,6 +120,8 @@ def test_rule_validation():
         Rule(id="x", kind=RuleKind.BLOCK, pattern="")
     with pytest.raises(ValueError):
         Rule(id="x", kind=RuleKind.RBAC, required_tag="t")
+    with pytest.raises(ValueError, match="'bad'"):
+        Rule(id="bad", kind=RuleKind.BLOCK, pattern="(")
 
 
 def test_default_rules_block_drop_table_case_insensitively():
