@@ -9,7 +9,9 @@ can be stopped at any stage and the result says exactly where and why.
 Nodes synchronize learned state (security rules, ontology terms, edge
 policies, capability estimates) by push gossip: each tick every node forwards
 its delta log to a few random peers, and per-origin counters give every node
-the same eventually-consistent view regardless of arrival order.
+the same eventually-consistent view regardless of arrival order. Writes to
+one term or rule are arbitrated by the writer's clock, so a causally later
+write wins on every node.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from cogfabric.grounding import (
 )
 from cogfabric.memory import EntityStore, Manifest, MemoryStore
 from cogfabric.security import (
-    Intervention,
     Rule,
     RuleKind,
     SecurityDecision,
@@ -152,6 +153,9 @@ class DeltaStatus(str, Enum):
 class PolicyDelta:
     origin: str
     counter: int
+    # deltas the writer had applied, plus one: a write made after seeing
+    # another write always carries a larger clock
+    clock: int
     kind: str  # security-rule | ontology-term | edge-policy | capability-state
     payload: dict
 
@@ -241,107 +245,64 @@ class FabricNode:
             return RouteDecision.LOCAL
         return RouteDecision.FORWARD_TO_CORE
 
-    def _reject(
-        self,
-        receiver: str | None,
-        reason: str,
-        latency: LatencyTrace,
-        *,
-        dispatched: bool = False,
-        **extras,
-    ) -> InterceptResult:
-        if dispatched and receiver is not None:
-            self.router.release(receiver)
-        return InterceptResult(
-            delivered=False, receiver=receiver, reason=reason, latency=latency, **extras
-        )
-
     def intercept(
         self, envelope: Envelope, *, among: list[str] | None = None
     ) -> InterceptResult:
         """Process one message end to end. Never raises on gated traffic."""
-        latency = LatencyTrace(l_net=self._base_net())
-        dispatched = False
-        if isinstance(envelope.addressing, Explicit):
-            receiver = envelope.addressing.receiver
+        result = InterceptResult(
+            delivered=False, receiver=None, latency=LatencyTrace(l_net=self._base_net())
+        )
+        addressing = envelope.addressing
+        if isinstance(addressing, Explicit):
+            result.receiver = addressing.receiver
         else:
-            assert isinstance(envelope.addressing, Intent)
-            task = self.embedder.embed(envelope.addressing.description)
+            assert isinstance(addressing, Intent)
+            task = self.embedder.embed(addressing.description)
             try:
-                receiver = self.router.dispatch(task, self.epsilon, self.rng, among=among)
+                result.receiver = self.router.dispatch(
+                    task, self.epsilon, self.rng, among=among
+                )
             except (
                 NoAgentsError,
                 NoCapableAgentError,
                 UnknownAgentError,
                 ZeroVectorError,
             ) as err:
-                return InterceptResult(
-                    delivered=False,
-                    receiver=None,
-                    reason=f"no-route: {err}",
-                    latency=latency,
-                )
-            dispatched = True
+                result.reason = f"no-route: {err}"
+                return result
+        self._run_stages(envelope, result)
+        if not result.delivered and isinstance(addressing, Intent):
+            self.router.release(result.receiver)  # gated after dispatch
+        return result
 
+    def _run_stages(self, envelope: Envelope, result: InterceptResult) -> None:
+        """Edge check, hybrid-edge split, ground, ghost, transform, deliver.
+
+        Each stage fills in its part of ``result``; a stage that stops the
+        message sets ``result.reason`` and returns.
+        """
+        receiver = result.receiver
+        latency = result.latency
         if self.allowed_edges is not None and (envelope.sender, receiver) not in self.allowed_edges:
-            return self._reject(
-                receiver, "edge-not-allowed", latency, dispatched=dispatched
-            )
+            result.reason = "edge-not-allowed"
+            return
 
-        complexity = None
-        route = None
         if self.mode is DeploymentMode.HYBRID_EDGE:
-            complexity = complexity_score(envelope.text, self.ontology)
-            route = self.route_by_complexity(complexity.value)
-            if route is RouteDecision.LOCAL:
-                return self._intercept_local(
-                    envelope, receiver, latency, complexity, dispatched
+            result.complexity = complexity_score(envelope.text, self.ontology)
+            result.route = self.route_by_complexity(result.complexity.value)
+            if result.route is RouteDecision.LOCAL:
+                # rules-only fast path: no retrieval, no grounding, no translation
+                outcome = self.security.evaluate_rules(
+                    envelope.text, self._tags_of(envelope.sender)
                 )
+                if not outcome.safe:
+                    result.reason = "security-block"
+                    return
+                self._deliver(envelope, result, outcome.text, ["local: rules-only path"])
+                return
             latency.l_net += 2.0  # forwarded to the core and back
 
-        return self._intercept_full(
-            envelope, receiver, latency, complexity, route, dispatched
-        )
-
-    def _intercept_local(
-        self,
-        envelope: Envelope,
-        receiver: str,
-        latency: LatencyTrace,
-        complexity: ComplexityScore,
-        dispatched: bool,
-    ) -> InterceptResult:
-        """Rules-only fast path: no retrieval, no grounding, no translation."""
-        outcome = self.security.evaluate_rules(envelope.text, self._tags_of(envelope.sender))
-        if not outcome.safe:
-            return self._reject(
-                receiver,
-                "security-block",
-                latency,
-                dispatched=dispatched,
-                complexity=complexity,
-                route=RouteDecision.LOCAL,
-            )
-        return self._deliver(
-            envelope,
-            receiver,
-            outcome.text,
-            latency,
-            trace=["local: rules-only path"],
-            complexity=complexity,
-            route=RouteDecision.LOCAL,
-        )
-
-    def _intercept_full(
-        self,
-        envelope: Envelope,
-        receiver: str,
-        latency: LatencyTrace,
-        complexity: ComplexityScore | None,
-        route: RouteDecision | None,
-        dispatched: bool,
-    ) -> InterceptResult:
-        decision = ground(
+        result.grounding = decision = ground(
             envelope.text,
             self.ontology,
             entity_store=self.entity_store,
@@ -350,37 +311,21 @@ class FabricNode:
         )
         latency.l_inference += 1.0
         if decision.verdict is Verdict.REJECT:
-            return self._reject(
-                receiver,
-                "grounding-reject",
-                latency,
-                dispatched=dispatched,
-                grounding=decision,
-                complexity=complexity,
-                route=route,
-            )
+            result.reason = "grounding-reject"
+            return
 
-        ghost = None
         if len(self.manifest):
             refs = [e for e in decision.entities if _looks_like_artifact(e)]
             if refs:
-                ghost = ghost_check(refs, self.manifest)
+                result.ghost = ghost_check(refs, self.manifest)
                 latency.l_memory_lookup += 1.0
-                if not ghost.ok:
-                    return self._reject(
-                        receiver,
-                        "ghost-reference",
-                        latency,
-                        dispatched=dispatched,
-                        grounding=decision,
-                        ghost=ghost,
-                        complexity=complexity,
-                        route=route,
-                    )
+                if not result.ghost.ok:
+                    result.reason = "ghost-reference"
+                    return
 
         schema = self.ontology.schema_map(envelope.sender, receiver)
         try:
-            result = self.transformer.transform(
+            transformed = self.transformer.transform(
                 envelope.text,
                 sender=envelope.sender,
                 receiver=receiver,
@@ -389,54 +334,24 @@ class FabricNode:
                 schema_map=schema or None,
             )
         except TransformHaltedError as err:
-            return self._reject(
-                receiver,
-                err.reason,
-                latency,
-                dispatched=dispatched,
-                grounding=decision,
-                security=err.security,
-                ghost=ghost,
-                complexity=complexity,
-                route=route,
-            )
+            result.reason = err.reason
+            result.security = err.security
+            return
         latency.l_memory_lookup += 1.0
         latency.l_inference += 1.0
-        return self._deliver(
-            envelope,
-            receiver,
-            result.text,
-            latency,
-            trace=result.trace,
-            grounding=decision,
-            security=result.security,
-            ghost=ghost,
-            transform=result,
-            complexity=complexity,
-            route=route,
-        )
+        result.security = transformed.security
+        result.transform = transformed
+        self._deliver(envelope, result, transformed.text, transformed.trace)
 
     def _deliver(
-        self,
-        envelope: Envelope,
-        receiver: str,
-        text: str,
-        latency: LatencyTrace,
-        *,
-        trace: list[str],
-        **extras,
-    ) -> InterceptResult:
+        self, envelope: Envelope, result: InterceptResult, text: str, trace: list[str]
+    ) -> None:
+        receiver = result.receiver
         self.invocations[receiver] = self.invocations.get(receiver, 0) + 1
-        payload = Payload(
+        result.delivered = True
+        result.text = text
+        result.payload = Payload(
             text=text, origin=envelope.sender, receiver=receiver, annotations=list(trace)
-        )
-        return InterceptResult(
-            delivered=True,
-            receiver=receiver,
-            text=text,
-            payload=payload,
-            latency=latency,
-            **extras,
         )
 
     def _tags_of(self, agent_id: str) -> frozenset[str]:
@@ -450,7 +365,13 @@ class FabricNode:
     def emit_delta(self, kind: str, payload: dict) -> PolicyDelta:
         """Record a local change and make it available to peers."""
         counter = self.version_vector.get(self.node_id, 0) + 1
-        delta = PolicyDelta(origin=self.node_id, counter=counter, kind=kind, payload=payload)
+        delta = PolicyDelta(
+            origin=self.node_id,
+            counter=counter,
+            clock=sum(self.version_vector.values()) + 1,
+            kind=kind,
+            payload=payload,
+        )
         self._apply_payload(delta)
         self.version_vector[self.node_id] = counter
         self._log.setdefault(self.node_id, []).append(delta)
@@ -530,8 +451,9 @@ class FabricNode:
         self._log.setdefault(delta.origin, []).append(delta)
 
     def _wins(self, key: tuple, stamp: tuple) -> bool:
-        """Per-key last-write-wins arbitration, so concurrent writes to the
-        same key from different origins merge identically everywhere."""
+        """Per-key last-write-wins arbitration by ``(stamp, origin)``, so
+        concurrent writes to the same key from different origins merge
+        identically everywhere."""
         stored = self._kv_stamps.get(key)
         if stored is not None and stamp <= stored:
             return False
@@ -553,13 +475,13 @@ class FabricNode:
                 )
             except ValueError:
                 return  # one peer's malformed rule must not disable every node
-            if not self._wins(("rule", rule.id), (delta.counter, delta.origin)):
+            if not self._wins(("rule", rule.id), (delta.clock, delta.origin)):
                 return
             kept = [r for r in self.security.rules if r.id != rule.id]
             kept.append(rule)
             self.security.rules = sorted(kept, key=lambda r: (r.priority, r.id))
         elif delta.kind == "ontology-term":
-            if not self._wins(("term", payload["term"]), (delta.counter, delta.origin)):
+            if not self._wins(("term", payload["term"]), (delta.clock, delta.origin)):
                 return
             self.ontology.add_term(
                 payload["term"],
@@ -601,11 +523,10 @@ class FabricNode:
         """Send everything the peer has not seen yet. Returns deltas sent."""
         sent = 0
         for origin in sorted(self._log):
-            known = peer.version_vector.get(origin, 0)
-            for delta in self._log[origin]:
-                if delta.counter > known:
-                    peer.apply_delta(delta)
-                    sent += 1
+            # the log is contiguous by counter, so the peer lacks exactly the tail
+            for delta in self._log[origin][peer.version_vector.get(origin, 0):]:
+                peer.apply_delta(delta)
+                sent += 1
         return sent
 
     def pending_count(self) -> int:

@@ -227,14 +227,16 @@ class Ontology:
     def set_schema_map(self, sender: str, receiver: str, table: dict[str, str]) -> None:
         """Install the substitution table for one directed edge.
 
-        Tables must be injective (no two terms may map to the same target);
-        translation itself checks for cycles.
+        Tables must be injective (no two terms may map to the same target)
+        and acyclic; either fault raises before anything is installed, so a
+        bad map cannot make every message over the edge fail.
         """
         values = list(table.values())
         if len(set(values)) != len(values):
             raise ValueError(
                 f"schema map for ({sender!r}, {receiver!r}) is not injective"
             )
+        _check_acyclic(table)
         self._schema_maps[(sender, receiver)] = dict(table)
 
     def schema_map(self, sender: str, receiver: str) -> dict[str, str]:
@@ -259,6 +261,24 @@ def _first_letter_variants(term: str) -> list[str]:
     return [term]
 
 
+def _check_acyclic(table: dict[str, str]) -> None:
+    """Raise CyclicTableError when following the table from any term can
+    arrive back at a term of the table (first letters compared caselessly)."""
+
+    def norm(s: str) -> str:
+        return (s[0].lower() + s[1:]) if s and s[0].isalpha() else s
+
+    normalized = {norm(k): v for k, v in table.items()}
+    for start in normalized:
+        seen = {start}
+        cur = norm(normalized[start])
+        while cur in normalized:
+            if cur in seen:
+                raise CyclicTableError(f"substitution table cycles through {cur!r}")
+            seen.add(cur)
+            cur = norm(normalized[cur])
+
+
 def translate(text: str, table: dict[str, str]) -> str:
     """Rewrite whole tokens through a substitution table.
 
@@ -269,22 +289,7 @@ def translate(text: str, table: dict[str, str]) -> str:
     """
     if not table:
         return text
-
-    # cycle detection over first-letter-normalized terms
-    def norm(s: str) -> str:
-        return (s[0].lower() + s[1:]) if s and s[0].isalpha() else s
-
-    normalized = {norm(k): v for k, v in table.items()}
-    for start in normalized:
-        seen = {start}
-        cur = norm(normalized[start])
-        while cur in normalized:
-            if cur in seen:
-                raise CyclicTableError(
-                    f"substitution table cycles through {cur!r}"
-                )
-            seen.add(cur)
-            cur = norm(normalized[cur])
+    _check_acyclic(table)
 
     lookup: dict[str, str] = {}
     for key, value in table.items():

@@ -439,6 +439,10 @@ class ScenarioConfig:
             if agent_id in seen:
                 raise ConfigError(f"duplicate agent id {agent_id!r}")
             seen.add(agent_id)
+        _require(
+            any(a.arrival == 0 for a in agents),
+            "at least one agent must have 'arrival' 0, or episode 0 has no receiver",
+        )
         raw_edges = data.get("edges", base.get("edges"))
         edges = None
         if raw_edges is not None:

@@ -189,10 +189,6 @@ def default_scorer(dim: int) -> AttackScorer:
     return AttackScorer(weights=np.zeros(dim), bias=-4.0)
 
 
-def attack_probability(embedding: np.ndarray, scorer: AttackScorer) -> float:
-    return scorer.probability(embedding)
-
-
 def mean_logloss(
     weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray
 ) -> float:

@@ -1,10 +1,10 @@
 """Adaptive routing: who should get a message when the sender names a goal.
 
-Selection is an epsilon-greedy contextual bandit. Each agent carries a
-per-skill-cluster performance estimate (an exponential moving average of
-realized rewards), plus moving latency, a fixed cost rate, and a live load
-counter. Untried clusters score at an optimistic prior equal to the maximum
-possible reward, so new agents always get probed.
+Selection is an epsilon-greedy contextual bandit. Each agent carries one
+performance estimate (an exponential moving average of realized rewards),
+plus moving latency, a fixed cost rate, and a live load counter. An untried
+agent scores at an optimistic prior equal to the maximum possible reward, so
+new agents always get probed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from cogfabric.core import (
 )
 
 ALPHA_EMA = 0.2
-DEFAULT_CLUSTERS = 8
 
 
 class DuplicateAgentError(FabricError):
@@ -67,7 +66,12 @@ class QualityWeights:
 
 @dataclass
 class CapabilityState:
-    """Mutable per-agent bookkeeping used by the router."""
+    """Mutable per-agent bookkeeping used by the router.
+
+    ``mu_perf`` holds the agent's one performance estimate under key 0; it
+    stays a mapping because the capability-state gossip payload carries it
+    as one.
+    """
 
     agent: str
     mu_perf: dict[int, float] = field(default_factory=dict)
@@ -82,32 +86,6 @@ def _split_subtasks(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _spherical_kmeans(
-    points: np.ndarray, k: int, rng: Random, iters: int = 30
-) -> np.ndarray:
-    """Lloyd's iterations with cosine assignment over unit vectors."""
-    n = points.shape[0]
-    k = max(1, min(k, n))
-    centroids = points[sorted(rng.sample(range(n), k))].copy()
-    for _ in range(iters):
-        assign = np.argmax(points @ centroids.T, axis=1)
-        moved = False
-        for j in range(k):
-            members = points[assign == j]
-            if len(members) == 0:
-                continue
-            mean = members.mean(axis=0)
-            norm = float(np.linalg.norm(mean))
-            if norm > 0.0:
-                mean = mean / norm
-            if not np.array_equal(mean, centroids[j]):
-                moved = True
-                centroids[j] = mean
-        if not moved:
-            break
-    return centroids
-
-
 class Router:
     """Bandit-driven receiver selection over registered agent profiles."""
 
@@ -117,16 +95,13 @@ class Router:
         reward_weights: RewardWeights | None = None,
         quality_weights: QualityWeights | None = None,
         alpha: float = ALPHA_EMA,
-        n_clusters: int = DEFAULT_CLUSTERS,
     ):
         self.embedder = embedder
         self.reward_weights = reward_weights or RewardWeights()
         self.quality_weights = quality_weights or QualityWeights()
         self.alpha = alpha
-        self.n_clusters = n_clusters
         self._profiles: dict[str, AgentProfile] = {}
         self._states: dict[str, CapabilityState] = {}
-        self._centroids: np.ndarray | None = None
 
     # -- registry -------------------------------------------------------------
 
@@ -155,33 +130,6 @@ class Router:
         except KeyError:
             raise UnknownAgentError(f"unknown agent {agent_id!r}") from None
 
-    @property
-    def skill_index(self) -> dict[str, np.ndarray]:
-        return {aid: p.skill_embedding for aid, p in self._profiles.items()}
-
-    # -- skill clusters ---------------------------------------------------------
-
-    def fit_clusters(self, task_vectors: list[np.ndarray], seed: int = 0) -> int:
-        """Recompute skill-cluster centroids from observed task embeddings.
-
-        Meant to run offline between scenario rollouts. Returns the number of
-        centroids fitted; zero-vector tasks are ignored.
-        """
-        pts = [np.asarray(v, dtype=np.float64) for v in task_vectors]
-        pts = [v for v in pts if v.any()]
-        if not pts:
-            self._centroids = None
-            return 0
-        matrix = np.stack(pts)
-        self._centroids = _spherical_kmeans(matrix, self.n_clusters, Random(seed))
-        return len(self._centroids)
-
-    def cluster(self, task: np.ndarray) -> int:
-        """Nearest-centroid id for a task embedding; 0 before any fit."""
-        if self._centroids is None:
-            return 0
-        return int(np.argmax(self._centroids @ np.asarray(task, dtype=np.float64)))
-
     # -- scoring and selection --------------------------------------------------
 
     def quality(
@@ -190,12 +138,12 @@ class Router:
         agent_id: str,
         weights: QualityWeights | None = None,
     ) -> float:
-        """Selection score: estimated cluster reward plus similarity, minus
-        cost, latency, and queue-depth penalties."""
+        """Selection score: estimated reward plus similarity, minus cost,
+        latency, and queue-depth penalties."""
         w = weights or self.quality_weights
         state = self.state(agent_id)
         profile = self.profile(agent_id)
-        s_hat = state.mu_perf.get(self.cluster(task), self.reward_weights.w1)
+        s_hat = state.mu_perf.get(0, self.reward_weights.w1)
         skill = profile.skill_embedding
         sim = cosine_similarity(task, skill) if skill.any() else 0.0
         return (
@@ -262,13 +210,13 @@ class Router:
         """Fold one interaction result into the agent's moving estimates.
 
         Returns the realized reward and the updated state. The queue slot
-        taken at dispatch is released here (floored at zero).
+        taken at dispatch is released here (floored at zero). The estimate is
+        one per agent, so ``task`` does not select it.
         """
         state = self.state(agent_id)
         r = self.reward_weights.reward(success, cost, latency)
-        cl = self.cluster(task)
-        old = state.mu_perf.get(cl, self.reward_weights.w1)
-        state.mu_perf[cl] = (1.0 - self.alpha) * old + self.alpha * r
+        old = state.mu_perf.get(0, self.reward_weights.w1)
+        state.mu_perf[0] = (1.0 - self.alpha) * old + self.alpha * r
         state.tau_lat = (1.0 - self.alpha) * state.tau_lat + self.alpha * latency
         state.l_load = max(0, state.l_load - 1)
         return r, state

@@ -87,17 +87,6 @@ def compute_loss(reward: float, tokens_added: int, lam: float = DEFAULT_LAMBDA) 
 
 
 @dataclass
-class LossRecord:
-    reward: float
-    tokens_added: int
-    lam: float = DEFAULT_LAMBDA
-
-    @property
-    def loss(self) -> float:
-        return compute_loss(self.reward, self.tokens_added, self.lam)
-
-
-@dataclass
 class EdgePolicy:
     sender: str
     receiver: str
@@ -106,11 +95,10 @@ class EdgePolicy:
 
 
 class EdgePolicyStore:
-    """Standing per-edge directives, revised over time by receiver feedback."""
+    """Standing per-edge directives, versioned per edge."""
 
     def __init__(self) -> None:
         self._policies: dict[tuple[str, str], EdgePolicy] = {}
-        self.feedback_log: list[dict] = []
 
     def set_policy(self, sender: str, receiver: str, text: str) -> EdgePolicy:
         key = (sender, receiver)
@@ -122,29 +110,9 @@ class EdgePolicyStore:
     def get(self, sender: str, receiver: str) -> EdgePolicy | None:
         return self._policies.get((sender, receiver))
 
-    def record_feedback(self, sender: str, receiver: str, note: str) -> None:
-        current = self.get(sender, receiver)
-        self.feedback_log.append(
-            {
-                "sender": sender,
-                "receiver": receiver,
-                "note": note,
-                "version": current.version if current else 0,
-            }
-        )
-
-    def apply(self, policy: EdgePolicy) -> bool:
-        """Adopt a policy from elsewhere if it is newer. Last write wins."""
-        key = (policy.sender, policy.receiver)
-        current = self._policies.get(key)
-        if current is not None and current.version >= policy.version:
-            return False
-        self._policies[key] = policy
-        return True
-
     def install(self, policy: EdgePolicy) -> None:
         """Set a policy unconditionally. For sync layers that arbitrate
-        version ties themselves; everyone else wants ``apply``."""
+        versions themselves; local edits go through ``set_policy``."""
         self._policies[(policy.sender, policy.receiver)] = policy
 
     def export_jsonl(self, fp: IO[str]) -> int:
@@ -163,17 +131,6 @@ class EdgePolicyStore:
                 + "\n"
             )
         return len(rows)
-
-    def import_jsonl(self, fp: IO[str]) -> int:
-        applied = 0
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if self.apply(EdgePolicy(row["sender"], row["receiver"], row["text"], row["version"])):
-                applied += 1
-        return applied
 
 
 class Transformer:

@@ -46,6 +46,16 @@ def test_validate_names_the_bad_field(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_no_agent_at_episode_zero_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "late.yaml"
+    path.write_text(
+        "name: expert-discovery\nagents:\n  - {id: a, skill: s, arrival: 3}\n"
+    )
+    for command in ("run", "validate"):
+        assert run_cli(command, str(path)) == EXIT_INVALID
+        assert "arrival" in capsys.readouterr().err
+
+
 def test_validate_missing_file_is_invalid_input(capsys):
     assert run_cli("validate", "/no/such/file.yaml") == EXIT_INVALID
     assert "cannot read" in capsys.readouterr().err

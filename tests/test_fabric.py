@@ -355,6 +355,19 @@ def test_all_delivery_orders_converge_to_the_same_state():
     assert reference[1]["alpha"] == 0.7
 
 
+def test_a_causally_later_write_wins_on_every_node():
+    a, b, c = (node(node_id=n) for n in "abc")
+    for i in range(5):
+        a.publish_term(f"unrelated-{i}", 0.5)
+    a.publish_term("T", 0.1)
+    run_gossip([a, b, c], Random(0), beta=2)
+    # b has seen a's write, so its rewrite is causally later despite b's
+    # lower per-origin counter
+    b.publish_term("T", 0.9)
+    run_gossip([a, b, c], Random(1), beta=2)
+    assert [n.ontology.term("T").validity for n in (a, b, c)] == [0.9, 0.9, 0.9]
+
+
 def test_capability_state_is_last_write_wins_by_tick():
     source_x = node(node_id="x")
     source_x.router.register_agent(AgentProfile.from_skill(EMB, "w", "general work"))
@@ -382,6 +395,7 @@ def test_malformed_gossiped_rule_is_skipped():
     bad = PolicyDelta(
         origin="peer",
         counter=1,
+        clock=1,
         kind="security-rule",
         payload={"id": "bad", "kind": "block", "pattern": "("},
     )

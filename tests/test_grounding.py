@@ -354,6 +354,26 @@ def test_schema_map_injective_enforced() -> None:
         onto.set_schema_map("a", "b", {"x": "same", "y": "same"})
 
 
+def test_cyclic_schema_map_is_refused_at_install() -> None:
+    onto = Ontology(EMB)
+    with pytest.raises(CyclicTableError):
+        onto.set_schema_map("a", "b", {"x": "y", "y": "x"})
+    assert onto.schema_map("a", "b") == {}
+    assert onto.schema_edges() == []
+
+
+def test_load_ontology_refuses_a_cyclic_schema_map() -> None:
+    doc = io.StringIO(
+        """
+schema_maps:
+  - {sender: a, receiver: b, from: client, to: customer}
+  - {sender: a, receiver: b, from: Customer, to: client}
+"""
+    )
+    with pytest.raises(CyclicTableError):
+        load_ontology(doc, EMB)
+
+
 def test_load_ontology_from_yaml() -> None:
     doc = io.StringIO(
         """

@@ -84,6 +84,12 @@ def test_agent_arrival_must_be_non_negative():
         cfg("bandit-5arm", agents=[{"id": "a", "skill": "s", "arrival": -1}])
 
 
+def test_a_scenario_needs_an_agent_at_episode_zero():
+    late = [{"id": "a", "skill": "s", "arrival": 3}]
+    with pytest.raises(ConfigError, match="arrival"):
+        cfg("expert-discovery", agents=late)
+
+
 def test_fabric_unknown_field_and_bad_mode():
     with pytest.raises(ConfigError, match="unknown field 'speed'"):
         cfg("bandit-5arm", fabric={"speed": 9})

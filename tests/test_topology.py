@@ -36,7 +36,9 @@ def test_register_and_skill_index() -> None:
     r = _router()
     _add(r, "sql", "query relational databases")
     assert r.agents() == ["sql"]
-    assert np.array_equal(r.skill_index["sql"], EMB.embed("query relational databases"))
+    assert np.array_equal(
+        r.profile("sql").skill_embedding, EMB.embed("query relational databases")
+    )
     st = r.state("sql")
     assert st.mu_perf == {} and st.tau_lat == 0.0 and st.l_load == 0
 
@@ -238,41 +240,6 @@ def test_load_never_negative() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Skill clusters
-# ---------------------------------------------------------------------------
-
-
-def test_clusters_separate_task_families() -> None:
-    r = _router(n_clusters=2)
-    db_tasks = [EMB.embed(f"parse database query tables run {i}") for i in range(10)]
-    art_tasks = [EMB.embed(f"draw chart render image view {i}") for i in range(10)]
-    fitted = r.fit_clusters(db_tasks + art_tasks, seed=3)
-    assert fitted == 2
-    db_ids = {r.cluster(v) for v in db_tasks}
-    art_ids = {r.cluster(v) for v in art_tasks}
-    assert db_ids.isdisjoint(art_ids)
-
-
-def test_per_cluster_estimates_are_independent() -> None:
-    r = _router(n_clusters=2, reward_weights=RewardWeights(1.0, 0.0, 0.0))
-    _add(r, "a", "general work")
-    db = EMB.embed("parse database query tables")
-    art = EMB.embed("draw chart render image")
-    r.fit_clusters([db, art], seed=0)
-    assert r.cluster(db) != r.cluster(art)
-    for _ in range(20):
-        r.record_outcome("a", db, success=False)
-    st = r.state("a")
-    assert st.mu_perf[r.cluster(db)] < 0.05
-    assert r.cluster(art) not in st.mu_perf  # untried cluster stays at the prior
-
-
-def test_cluster_before_fit_is_zero() -> None:
-    r = _router()
-    assert r.cluster(EMB.embed("whatever")) == 0
-
-
-# ---------------------------------------------------------------------------
 # Chains
 # ---------------------------------------------------------------------------
 
@@ -297,13 +264,13 @@ def test_chain_splits_and_orders_agents() -> None:
     expected = []
     for sub in subs:
         sims = {
-            aid: cosine_similarity(EMB.embed(sub), r.skill_index[aid])
+            aid: cosine_similarity(EMB.embed(sub), r.profile(aid).skill_embedding)
             for aid in r.agents()
         }
         expected.append(max(sorted(sims), key=lambda a: sims[a]))
     assert expected == ["researcher", "writer"]
     whole_best = max(
-        cosine_similarity(EMB.embed(text), r.skill_index[a]) for a in r.agents()
+        cosine_similarity(EMB.embed(text), r.profile(a).skill_embedding) for a in r.agents()
     )
     assert whole_best < 0.6  # fixture sanity: no single agent covers it
     assert r.synthesize_chain(text, coverage_threshold=0.6) == ["researcher", "writer"]
@@ -323,7 +290,7 @@ def test_chain_no_capable_agent() -> None:
     _add(r, "writer", "write clear summaries prose")
     text = "qqqrzx vvbnm zzkkk"
     top = max(
-        cosine_similarity(EMB.embed(p), r.skill_index["writer"])
+        cosine_similarity(EMB.embed(p), r.profile("writer").skill_embedding)
         for p in [text]
     )
     with pytest.raises(NoCapableAgentError):

@@ -1,6 +1,7 @@
 """The inject -> sanitize -> translate pipeline and its supporting stores."""
 
 import io
+import json
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from cogfabric.security import (
 from cogfabric.transform import (
     EdgePolicy,
     EdgePolicyStore,
-    LossRecord,
     TransformHaltedError,
     Transformer,
     compute_loss,
@@ -202,7 +202,6 @@ def test_loss_trades_reward_against_added_tokens():
     assert compute_loss(1.0, 10, lam=0.01) == pytest.approx(-0.9)
     assert compute_loss(0.0, 50, lam=0.01) == pytest.approx(0.5)
     assert compute_loss(1.0, -5, lam=0.01) == pytest.approx(-1.0)  # cost floors at 0
-    assert LossRecord(reward=0.5, tokens_added=20, lam=0.02).loss == pytest.approx(-0.1)
 
 
 def test_tokens_added_matches_observed_growth():
@@ -227,24 +226,6 @@ def test_policy_versions_increment_per_edge():
     assert store.get("a", "b").text == "v two"
 
 
-def test_feedback_log_records_the_active_version():
-    store = EdgePolicyStore()
-    store.set_policy("a", "b", "be brief")
-    store.record_feedback("a", "b", "too terse, add units")
-    assert store.feedback_log == [
-        {"sender": "a", "receiver": "b", "note": "too terse, add units", "version": 1}
-    ]
-
-
-def test_policy_apply_is_last_write_wins_by_version():
-    store = EdgePolicyStore()
-    store.set_policy("a", "b", "v one")
-    assert not store.apply(EdgePolicy("a", "b", "stale", 1))
-    assert store.apply(EdgePolicy("a", "b", "newer", 5))
-    assert store.get("a", "b").text == "newer"
-    assert not store.apply(EdgePolicy("a", "b", "same version loses", 5))
-
-
 def test_policy_jsonl_round_trip():
     store = EdgePolicyStore()
     store.set_policy("a", "b", "first")
@@ -252,11 +233,12 @@ def test_policy_jsonl_round_trip():
     store.set_policy("x", "y", "cross edge")
     buf = io.StringIO()
     assert store.export_jsonl(buf) == 2
-    buf.seek(0)
-    clone = EdgePolicyStore()
-    assert clone.import_jsonl(buf) == 2
-    assert clone.get("a", "b") == EdgePolicy("a", "b", "second", 2)
-    assert clone.get("x", "y") == EdgePolicy("x", "y", "cross edge", 1)
-    # re-import is a no-op
-    buf.seek(0)
-    assert clone.import_jsonl(buf) == 0
+    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert rows == [
+        {"sender": "a", "receiver": "b", "version": 2, "text": "second"},
+        {"sender": "x", "receiver": "y", "version": 1, "text": "cross edge"},
+    ]
+    # each exported line reads back into the policy it came from
+    for row in rows:
+        policy = EdgePolicy(row["sender"], row["receiver"], row["text"], row["version"])
+        assert store.get(row["sender"], row["receiver"]) == policy
