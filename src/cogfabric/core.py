@@ -8,6 +8,7 @@ and the envelope/payload records that flow through a fabric node.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -124,11 +125,106 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"cosine over mismatched shapes {a.shape} and {b.shape}"
         )
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    # each norm exactly as np.linalg.norm takes it: sqrt of the raveled self-dot
+    ra, rb = a.ravel(order="K"), b.ravel(order="K")
+    na = math.sqrt(ra.dot(ra))
+    nb = math.sqrt(rb.dot(rb))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    cos = float(a.dot(b) / (na * nb))
+    if cos > 1.0:
+        return 1.0
+    return -1.0 if cos < -1.0 else cos
+
+
+# ---------------------------------------------------------------------------
+# Matrix scoring: shortlist by one matrix product, rescore exactly
+# ---------------------------------------------------------------------------
+
+# How far a cosine taken from a matrix product may lie from
+# cosine_similarity of the same pair: a fraction of the cosine when no
+# component of either vector is negative, a plain distance otherwise. The
+# two differ only in summation order, which moves an n-term dot product by
+# at most about n * 1.1e-16 of the sum of its terms' magnitudes.
+COSINE_BAND = 1e-9
+
+# A store with no more rows than this (or than the k it is asked for) skips
+# the matrix product and rescores every row: the product's fixed cost of
+# a few dozen numpy calls exceeds rescoring that many rows.
+SCAN_ROWS = 8
+
+
+def reciprocal_norms(vectors: np.ndarray) -> np.ndarray:
+    """1 / the 2-norm of each row, NaN for a zero row."""
+    norms = np.sqrt((vectors * vectors).sum(axis=-1))
+    return np.divide(1.0, norms, out=np.full_like(norms, np.nan), where=norms > 0.0)
+
+
+def matrix_cosines(
+    dots: np.ndarray, inv_norms: np.ndarray, inv_qnorm: np.ndarray, nonneg: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines from a matrix product's ``dots`` and both sides' reciprocal
+    norms, each with the band its ``cosine_similarity`` lies within.
+
+    A zero vector on either side gives NaN, which no shortlist admits.
+    ``nonneg`` says no component of either side is negative; then every
+    term of each dot is >= 0 and the band is relative.
+    """
+    cos = dots * inv_norms * inv_qnorm
+    band = COSINE_BAND * np.abs(cos) if nonneg else np.full_like(cos, COSINE_BAND)
+    return cos, band
+
+
+def shortlist(
+    scores: np.ndarray,
+    band: np.ndarray,
+    k: int,
+    floor: float = float("-inf"),
+    strict: bool = False,
+) -> np.ndarray:
+    """Ascending indices of every row whose exact score may rank in the top k.
+
+    Each row's exact score lies within ``band`` of its approximate
+    ``scores`` entry. A row qualifies when its upper bound reaches ``floor``
+    (exceeds it when ``strict``) and the k-th largest lower bound among the
+    rows that do, so every row tied with the k-th exact score stays in and
+    the caller's scalar rescoring decides ties. NaN rows never qualify.
+    """
+    upper = scores + band
+    idx = np.flatnonzero(upper > floor if strict else upper >= floor)
+    if len(idx) > k:
+        lower = scores[idx] - band[idx]
+        kth = lower.max() if k == 1 else np.partition(lower, len(idx) - k)[len(idx) - k]
+        idx = idx[upper[idx] >= kth]
+    return idx
+
+
+class VectorTable:
+    """Fixed rows of vectors scored against queries by one matrix product.
+
+    Stores keep one table over their rows in a fixed order, rebuild it when
+    a row is added or replaced, and may hand out its read-only rows in place
+    of their own copies; the rows' other fields stay where the store keeps
+    them.
+    """
+
+    def __init__(self, vectors: list[np.ndarray], dim: int):
+        self.matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+        self.matrix.flags.writeable = False
+        self._inv_norms = reciprocal_norms(self.matrix)
+        self._nonneg = not (self.matrix < 0.0).any()
+
+    def cosines(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``matrix_cosines`` of one nonzero query (1-D) or of each row of a
+        query matrix (2-D, one row of cosines per query) against every row."""
+        q = np.asarray(queries, dtype=np.float64)
+        inv_q = 1.0 / math.sqrt(q @ q) if q.ndim == 1 else reciprocal_norms(q)[:, None]
+        return matrix_cosines(
+            q @ self.matrix.T,
+            self._inv_norms,
+            inv_q,
+            self._nonneg and not (q < 0.0).any(),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,7 @@ class FabricNode:
                 outcome = self.security.evaluate_rules(
                     envelope.text, self._tags_of(envelope.sender)
                 )
+                result.security = outcome.decision()
                 if not outcome.safe:
                     result.reason = "security-block"
                     return

@@ -17,7 +17,14 @@ from typing import IO, Iterable
 import numpy as np
 import yaml
 
-from cogfabric.core import FabricError, HashingEmbedder, cosine_similarity
+from cogfabric.core import (
+    SCAN_ROWS,
+    FabricError,
+    HashingEmbedder,
+    VectorTable,
+    cosine_similarity,
+    shortlist,
+)
 
 TAU_VALID = 0.75
 TAU_SOFT = 0.40
@@ -133,11 +140,18 @@ class OntologyUpdate:
 
 
 class Ontology:
-    """Shared world model: known terms with validity, plus per-edge schema maps."""
+    """Shared world model: known terms with validity, plus per-edge schema maps.
+
+    Scoring keeps one term matrix in sorted-term order, rebuilt when a term
+    is added or replaced, and each entry's ``embedding`` is a read-only view
+    of its row; validity is read from each ``TermEntry`` at score time, so
+    ``update`` and gossip change it in one place.
+    """
 
     def __init__(self, embedder: HashingEmbedder):
         self.embedder = embedder
         self._terms: dict[str, TermEntry] = {}
+        self._table: tuple[list[TermEntry], VectorTable] | None = None  # sorted
         self._schema_maps: dict[tuple[str, str], dict[str, str]] = {}
 
     # -- terms -----------------------------------------------------------------
@@ -154,6 +168,7 @@ class Ontology:
             status=status,
         )
         self._terms[term] = entry
+        self._table = None
         return entry
 
     def term(self, term: str) -> TermEntry | None:
@@ -167,22 +182,41 @@ class Ontology:
 
     def score(self, entities: list[str]) -> tuple[float, dict[str, EntityScore]]:
         """Mean over entities of the best validity-weighted cosine against any
-        term, each floored at zero. No entities means nothing to doubt: 1.0."""
+        term, each floored at zero. No entities means nothing to doubt: 1.0.
+        Of equally good terms the first in sorted order wins.
+
+        One (entities x terms) product shortlists each entity's contenders,
+        which are rescored with ``cosine_similarity``.
+        """
         if not entities:
             return 1.0, {}
+        if self._table is None:
+            entries = [self._terms[name] for name in sorted(self._terms)]
+            table = VectorTable([e.embedding for e in entries], self.embedder.dim)
+            for entry, row in zip(entries, table.matrix):
+                entry.embedding = row  # one copy of each vector
+            self._table = entries, table
+        entries, table = self._table
+        vecs = [self.embedder.embed_name(ent) for ent in entities]
+        if len(entries) > SCAN_ROWS:
+            validity = np.array([e.validity for e in entries])
+            cos, band = table.cosines(np.array(vecs))
+            scores, band = cos * validity, band * validity
         details: dict[str, EntityScore] = {}
         total = 0.0
-        for ent in entities:
-            vec = self.embedder.embed_name(ent)
+        for i, (ent, vec) in enumerate(zip(entities, vecs)):
             best, best_term = 0.0, None
             if vec.any():
-                for name in sorted(self._terms):
-                    entry = self._terms[name]
+                rows: Iterable[int] = range(len(entries))
+                if len(entries) > SCAN_ROWS:
+                    rows = shortlist(scores[i], band[i], 1, floor=0.0, strict=True)
+                for row in rows:
+                    entry = entries[row]
                     if not entry.embedding.any():
                         continue
                     s = cosine_similarity(vec, entry.embedding) * entry.validity
                     if s > best:
-                        best, best_term = s, name
+                        best, best_term = s, entry.term
             details[ent] = EntityScore(score=best, term=best_term)
             total += best
         return total / len(entities), details

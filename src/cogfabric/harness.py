@@ -617,8 +617,6 @@ class _Collector:
         security = result.security
         if security is not None and security.intervention is not None:
             self.interventions[security.intervention.value] += 1
-        elif not result.delivered and result.reason == "security-block":
-            self.interventions["block"] += 1
         else:
             self.interventions["none"] += 1
         self._count_lexicon(text)

@@ -111,6 +111,16 @@ class RuleOutcome:
     intervention: Intervention | None = None
     message: str = ""
 
+    def decision(self) -> "SecurityDecision":
+        """This outcome as the engine's decision when only the rules ran."""
+        return SecurityDecision(
+            verdict=SecurityVerdict.UNSAFE if self.intervention else SecurityVerdict.SAFE,
+            intervention=self.intervention,
+            text=self.text,
+            triggered=self.triggered,
+            annotations=[self.message] if self.message else [],
+        )
+
 
 # ---------------------------------------------------------------------------
 # Risk lexicon
@@ -426,9 +436,14 @@ class SecurityEngine:
                         message=rule.message
                         or f"action {rule.guarded_action!r} requires tag {rule.required_tag!r}",
                     )
-        intervention = Intervention.REDACT if triggered else None
+        if not triggered:
+            return RuleOutcome(safe=True, text=out_text)
         return RuleOutcome(
-            safe=True, text=out_text, triggered=triggered, intervention=intervention
+            safe=True,
+            text=out_text,
+            triggered=triggered,
+            intervention=Intervention.REDACT,
+            message=f"redactions applied: {triggered}",
         )
 
     # -- layer 2 + 3 helpers ----------------------------------------------------
@@ -482,13 +497,7 @@ class SecurityEngine:
             if self.trajectory_enabled:
                 p, msg_risk = self.message_risk(text)
                 self._push_window(sender, msg_risk)
-            return SecurityDecision(
-                verdict=SecurityVerdict.UNSAFE,
-                intervention=Intervention.BLOCK,
-                text=outcome.text,
-                triggered=outcome.triggered,
-                annotations=[outcome.message],
-            )
+            return outcome.decision()
 
         p, msg_risk = self.message_risk(outcome.text)
         trajectory = (
@@ -521,7 +530,7 @@ class SecurityEngine:
                 intervention = Intervention.ALERT
         if intervention is None and outcome.triggered:
             intervention = Intervention.REDACT
-            annotations.append(f"redactions applied: {outcome.triggered}")
+            annotations.append(outcome.message)
 
         if self.trajectory_enabled:
             self._push_window(sender, msg_risk)

@@ -12,15 +12,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from random import Random
+from typing import Iterable
 
 import numpy as np
 
 from cogfabric.core import (
+    COSINE_BAND,
+    SCAN_ROWS,
     AgentProfile,
     FabricError,
     HashingEmbedder,
+    VectorTable,
     ZeroVectorError,
     cosine_similarity,
+    shortlist,
 )
 
 ALPHA_EMA = 0.2
@@ -87,7 +92,14 @@ def _split_subtasks(text: str) -> list[str]:
 
 
 class Router:
-    """Bandit-driven receiver selection over registered agent profiles."""
+    """Bandit-driven receiver selection over registered agent profiles.
+
+    Similarity to a task comes from one skill matrix in sorted-id order,
+    rebuilt when an agent registers; estimates, cost, latency and load stay
+    on each agent's ``CapabilityState``, where gossip, dispatch and outcome
+    feedback change them. The matrix product only shortlists: the winner is
+    picked among the contenders by their exact ``quality``.
+    """
 
     def __init__(
         self,
@@ -102,6 +114,7 @@ class Router:
         self.alpha = alpha
         self._profiles: dict[str, AgentProfile] = {}
         self._states: dict[str, CapabilityState] = {}
+        self._skills: tuple[dict[str, int], VectorTable] | None = None
 
     # -- registry -------------------------------------------------------------
 
@@ -111,6 +124,7 @@ class Router:
         if profile.id in self._profiles:
             raise DuplicateAgentError(f"agent {profile.id!r} already registered")
         self._profiles[profile.id] = profile
+        self._skills = None
         state = CapabilityState(agent=profile.id, c_cost=cost, l_load=initial_load)
         self._states[profile.id] = state
         return state
@@ -154,6 +168,15 @@ class Router:
             - w.load * state.l_load
         )
 
+    def _skill_table(self) -> tuple[dict[str, int], VectorTable]:
+        """Row of each agent, and the skill matrix in sorted-id order."""
+        if self._skills is None:
+            ids = self.agents()
+            self._skills = {aid: row for row, aid in enumerate(ids)}, VectorTable(
+                [self._profiles[aid].skill_embedding for aid in ids], self.embedder.dim
+            )
+        return self._skills
+
     def select(
         self,
         task: np.ndarray,
@@ -174,11 +197,35 @@ class Router:
         if rng.random() < epsilon:
             return candidates[rng.randrange(len(candidates))]
         best_id, best_q = candidates[0], None
-        for cand in candidates:
-            q = self.quality(task, cand)
+        for i in self._contenders(task, candidates):
+            q = self.quality(task, candidates[i])
             if best_q is None or q > best_q:
-                best_id, best_q = cand, q
+                best_id, best_q = candidates[i], q
         return best_id
+
+    def _contenders(self, task: np.ndarray, candidates: list[str]) -> Iterable[int]:
+        """Positions in ``candidates`` whose exact quality may be the best."""
+        if len(candidates) <= SCAN_ROWS:
+            return range(len(candidates))
+        row_of, table = self._skill_table()
+        picked = [row_of[cand] for cand in candidates]
+        sim = table.cosines(task)[0][picked]
+        sim[np.isnan(sim)] = 0.0  # a zero skill scores 0
+        w = self.quality_weights
+        states = [self._states[cand] for cand in candidates]
+        parts = np.array(
+            [
+                [s.mu_perf.get(0, self.reward_weights.w1) for s in states],
+                w.sim * sim,
+                [-w.cost * s.c_cost for s in states],
+                [-w.latency * s.tau_lat for s in states],
+                [-w.load * s.l_load for s in states],
+            ]
+        )
+        # quality sums these parts; beyond the cosine's band, the matrix
+        # estimate differs from quality() only by rounding within the sum
+        band = COSINE_BAND * (abs(w.sim) + np.abs(parts).sum(axis=0))
+        return shortlist(parts.sum(axis=0), band, 1)
 
     def dispatch(
         self,
@@ -244,15 +291,21 @@ class Router:
         if not whole.any():
             raise ZeroVectorError("task text embeds to the zero vector")
 
+        ids = self.agents()
+        _, table = self._skill_table()
+
         def best_for(vec: np.ndarray) -> tuple[str | None, float]:
+            rows: Iterable[int] = range(len(ids))
+            if len(ids) > SCAN_ROWS:
+                rows = shortlist(*table.cosines(vec), 1)
             top_id, top_sim = None, float("-inf")
-            for aid in self.agents():
-                skill = self._profiles[aid].skill_embedding
+            for row in rows:
+                skill = self._profiles[ids[row]].skill_embedding
                 if not skill.any():
                     continue
                 sim = cosine_similarity(vec, skill)
                 if sim > top_sim:
-                    top_id, top_sim = aid, sim
+                    top_id, top_sim = ids[row], sim
             return top_id, top_sim
 
         single, single_sim = best_for(whole)

@@ -20,7 +20,7 @@ from cogfabric.fabric import (
     run_gossip,
 )
 from cogfabric.grounding import Verdict
-from cogfabric.security import REDACTED, Intervention, Rule, RuleKind
+from cogfabric.security import REDACTED, Intervention, Rule, RuleKind, SecurityVerdict
 from cogfabric.topology import Router
 
 EMB = HashingEmbedder()
@@ -237,6 +237,33 @@ def test_local_path_still_enforces_rules():
     assert not blocked.delivered and blocked.reason == "security-block"
     redacted = n.intercept(make_envelope("a", "ssn 123-45-6789 ok", to="b"))
     assert redacted.delivered and REDACTED in redacted.payload.text
+
+
+def test_local_block_reports_the_rule_that_stopped_it():
+    n = node(mode=DeploymentMode.HYBRID_EDGE)
+    result = n.intercept(make_envelope("a", "DROP TABLE users;", to="b"))
+    assert result.route is RouteDecision.LOCAL and result.reason == "security-block"
+    decision = result.security
+    assert decision.verdict is SecurityVerdict.UNSAFE
+    assert decision.intervention is Intervention.BLOCK
+    assert decision.text == "DROP TABLE users;"
+    assert decision.triggered == ["sql-drop-table"]
+    assert decision.annotations == ["Unsafe database operation detected."]
+
+
+def test_local_redacted_delivery_reports_the_redaction():
+    n = node(mode=DeploymentMode.HYBRID_EDGE)
+    result = n.intercept(make_envelope("a", "ssn 123-45-6789 ok", to="b"))
+    assert result.route is RouteDecision.LOCAL and result.delivered
+    decision = result.security
+    assert decision.verdict is SecurityVerdict.UNSAFE
+    assert decision.intervention is Intervention.REDACT
+    assert decision.text == result.payload.text == f"ssn {REDACTED} ok"
+    assert decision.triggered == ["pii-ssn"]
+    assert decision.annotations == ["redactions applied: ['pii-ssn']"]
+    clean = n.intercept(make_envelope("a", "quick status check please", to="b"))
+    assert clean.security.verdict is SecurityVerdict.SAFE
+    assert clean.security.intervention is None and clean.security.triggered == []
 
 
 def test_hard_traffic_forwards_to_core_and_pays_for_it():
