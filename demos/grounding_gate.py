@@ -54,3 +54,4 @@ print(f"  delivered  {result.delivered}")
 print(f"  reason     {result.reason}")
 print(f"  suggestion {result.ghost.suggestions}")
 print(f"  receiver invocations: {node.invocations.get('worker', 0)}")
+print(f"  modeled latency: {result.latency.total:.1f} units")

@@ -3,7 +3,8 @@
 Two agents claim overlapping skills. The router starts optimistic about
 both, then learns from observed outcomes which one actually delivers, and
 shifts the traffic share accordingly. A third, stronger agent registered
-midway gets discovered through the exploration budget.
+midway gets discovered through the exploration budget. Last, a composite
+request is split into a chain of specialists.
 """
 
 from random import Random
@@ -41,3 +42,15 @@ for _ in range(200):
     agent = router.select(task, epsilon=0.0, rng=rng)
     tail[agent] += 1
 print(f"greedy choice after training: {max(tail, key=tail.get)!r}")
+
+# A composite request no single agent covers is split into sub-tasks, and
+# each goes to its most similar specialist, in request order.
+chains = Router(emb)
+for agent_id, skill in (
+    ("analyst", "summarizes quarterly finance reports"),
+    ("translator", "translates text into french or german"),
+    ("mailer", "sends email to a team"),
+):
+    chains.register_agent(AgentProfile.from_skill(emb, agent_id, skill))
+request = "Summarize the quarterly report; then translate it into french; then email the team."
+print(f"chain for {request!r}: {chains.synthesize_chain(request)}")

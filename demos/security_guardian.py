@@ -6,11 +6,18 @@ recent messages catches attacks split across individually harmless steps.
 The final verdict is the OR of whatever any layer objected to.
 """
 
+import numpy as np
+
 from cogfabric import HashingEmbedder, SecurityEngine, train_attack_scorer
-from cogfabric.security import TRAINING_CORPUS
+from cogfabric.security import TRAINING_CORPUS, mean_logloss
 
 emb = HashingEmbedder()
 scorer = train_attack_scorer(TRAINING_CORPUS, emb)
+X = np.stack([emb.embed(text) for text, _ in TRAINING_CORPUS])
+y = np.array([float(label) for _, label in TRAINING_CORPUS])
+untrained = mean_logloss(np.zeros(emb.dim), 0.0, X, y)
+print(f"scorer training log-loss: {untrained:.3f} -> "
+      f"{mean_logloss(scorer.weights, scorer.bias, X, y):.3f}\n")
 
 
 def show(decision, label):

@@ -250,21 +250,12 @@ _envelope_ids = itertools.count(1)
 
 @dataclass(frozen=True)
 class Envelope:
-    """A message as submitted by a sender, before the fabric touches it.
-
-    ``text`` is immutable; the fabric only ever appends to ``trace`` while it
-    processes the envelope, so the trace grows monotonically.
-    """
+    """A message as submitted by a sender; the fabric never changes it."""
 
     id: str
     sender: str
     addressing: Explicit | Intent
     text: str
-    timestamp: float = 0.0
-    trace: list[str] = field(default_factory=list)
-
-    def annotate(self, note: str) -> None:
-        self.trace.append(note)
 
 
 def make_envelope(
@@ -273,7 +264,6 @@ def make_envelope(
     *,
     to: str | None = None,
     intent: str | None = None,
-    timestamp: float = 0.0,
 ) -> Envelope:
     """Build an envelope with a run-unique id. Exactly one of to/intent."""
     if (to is None) == (intent is None):
@@ -284,7 +274,6 @@ def make_envelope(
         sender=sender,
         addressing=addressing,
         text=text,
-        timestamp=timestamp,
     )
 
 

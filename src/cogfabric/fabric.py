@@ -63,6 +63,7 @@ from cogfabric.transform import (
 
 DEFAULT_TAU_EDGE = 2.0
 COMPLEXITY_TOKEN_SCALE = 64.0
+MAX_GOSSIP_TICKS = 256
 
 
 class ModeMismatchError(FabricError):
@@ -102,10 +103,8 @@ class ComplexityScore:
     value: float
 
 
-def complexity_score(
-    text: str, ontology: Ontology, *, a: float = 1.0, b: float = 1.0, c: float = 1.0
-) -> ComplexityScore:
-    """C = a * tokens/64 + b * ungrounded entities + c * risk-lexicon classes.
+def complexity_score(text: str, ontology: Ontology) -> ComplexityScore:
+    """C = tokens/64 + ungrounded entities + risk-lexicon classes.
 
     Ungrounded means the extracted entity is not an exact ontology term, so
     messages full of unfamiliar names rank as hard even when short.
@@ -114,7 +113,7 @@ def complexity_score(
     entities = extract_entities(text)
     ungrounded = sum(1 for e in entities if not ontology.has_term(e))
     classes = len(lexicon_matches(text))
-    value = a * tokens / COMPLEXITY_TOKEN_SCALE + b * ungrounded + c * classes
+    value = tokens / COMPLEXITY_TOKEN_SCALE + ungrounded + classes
     return ComplexityScore(
         tokens=tokens,
         ungrounded_entities=ungrounded,
@@ -538,8 +537,14 @@ class FabricNode:
 # Cluster-level gossip
 # ---------------------------------------------------------------------------
 
+def _check_beta(beta: int) -> None:
+    if beta < 1:
+        raise ValueError(f"beta must be at least 1, got {beta}")
+
+
 def gossip_tick(nodes: list[FabricNode], rng: Random, beta: int) -> int:
     """One synchronous round: every node pushes to beta random peers."""
+    _check_beta(beta)
     n = len(nodes)
     if n <= 1:
         return 0
@@ -563,17 +568,16 @@ def _converged(nodes: list[FabricNode]) -> bool:
     )
 
 
-def run_gossip(
-    nodes: list[FabricNode], rng: Random, beta: int, max_ticks: int = 256
-) -> int:
+def run_gossip(nodes: list[FabricNode], rng: Random, beta: int) -> int:
     """Ticks until every node holds every delta. 0 when already converged."""
-    for tick in range(max_ticks + 1):
+    _check_beta(beta)
+    for tick in range(MAX_GOSSIP_TICKS + 1):
         if _converged(nodes):
             return tick
-        if tick == max_ticks:
+        if tick == MAX_GOSSIP_TICKS:
             break
         gossip_tick(nodes, rng, beta)
-    raise FabricError(f"gossip did not converge within {max_ticks} ticks")
+    raise FabricError(f"gossip did not converge within {MAX_GOSSIP_TICKS} ticks")
 
 
 def expected_propagation_rounds(n: int, beta: int) -> float:

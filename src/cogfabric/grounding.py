@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
-import yaml
 
 from cogfabric.core import (
     SCAN_ROWS,
@@ -225,14 +224,12 @@ class Ontology:
         self,
         episodes: Iterable[tuple[list[str], bool]],
         alpha: float = 0.1,
-        promote_at: float = PROMOTE_AT,
-        demote_at: float = DEMOTE_AT,
     ) -> OntologyUpdate:
         """Fold (terms used, success flag) episodes into term validity.
 
         Validity moves by +/- alpha per episode, clamped to [0, 1]. Crossing
-        promote_at makes a term permanent, and that never reverts. Falling
-        below demote_at flags the term for review; the flag clears if the term
+        PROMOTE_AT makes a term permanent, and that never reverts. Falling
+        below DEMOTE_AT flags the term for review; the flag clears if the term
         recovers. Unknown terms are created at validity 0 on first sight.
         """
         result = OntologyUpdate()
@@ -244,15 +241,15 @@ class Ontology:
                     entry = self.add_term(term)
                 old = entry.validity
                 entry.validity = float(np.clip(old + delta, 0.0, 1.0))
-                if entry.status != "permanent" and entry.validity >= promote_at - _EPS:
+                if entry.status != "permanent" and entry.validity >= PROMOTE_AT - _EPS:
                     entry.status = "permanent"
                     if term not in result.promoted:
                         result.promoted.append(term)
-                if old >= demote_at - _EPS and entry.validity < demote_at - _EPS:
+                if old >= DEMOTE_AT - _EPS and entry.validity < DEMOTE_AT - _EPS:
                     entry.flagged = True
                     if term not in result.flagged:
                         result.flagged.append(term)
-                elif entry.flagged and entry.validity >= demote_at - _EPS:
+                elif entry.flagged and entry.validity >= DEMOTE_AT - _EPS:
                     entry.flagged = False
         return result
 
@@ -275,9 +272,6 @@ class Ontology:
 
     def schema_map(self, sender: str, receiver: str) -> dict[str, str]:
         return dict(self._schema_maps.get((sender, receiver), {}))
-
-    def schema_edges(self) -> list[tuple[str, str]]:
-        return sorted(self._schema_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +347,14 @@ class GhostReport:
         return not self.missing
 
 
-def ghost_check(entities: list[str], manifest, floor: float = SUGGESTION_FLOOR) -> GhostReport:
+def ghost_check(entities: list[str], manifest) -> GhostReport:
     """Which entities are absent from the environment manifest, and what the
     nearest real names are. Membership is exact; suggestions need name
-    similarity of at least ``floor``."""
+    similarity of at least SUGGESTION_FLOOR."""
     missing = [e for e in entities if e not in manifest]
     suggestions: dict[str, str] = {}
     for ent in missing:
-        hit = manifest.suggest(ent, floor=floor)
+        hit = manifest.suggest(ent, floor=SUGGESTION_FLOOR)
         if hit is not None:
             suggestions[ent] = hit
     return GhostReport(missing=missing, suggestions=suggestions)
@@ -450,42 +444,3 @@ def ground(
         conflicts=conflicts,
         corrected_text=corrected,
     )
-
-
-# ---------------------------------------------------------------------------
-# Config loading
-# ---------------------------------------------------------------------------
-
-def load_ontology(fp: IO[str] | str, embedder: HashingEmbedder) -> Ontology:
-    """Build an ontology from a YAML document.
-
-    Schema:
-        terms:
-          - {term: Payment-Gateway, validity: 1.0, status: permanent}
-        schema_maps:
-          - {sender: sales, receiver: sql, from: client, to: customer}
-    """
-    data = yaml.safe_load(fp if not isinstance(fp, str) else open(fp, encoding="utf-8"))
-    data = data or {}
-    unknown = set(data) - {"terms", "schema_maps"}
-    if unknown:
-        raise ValueError(f"unknown ontology config fields: {sorted(unknown)}")
-    onto = Ontology(embedder)
-    for row in data.get("terms") or []:
-        extra = set(row) - {"term", "validity", "status"}
-        if extra:
-            raise ValueError(f"unknown term fields: {sorted(extra)}")
-        onto.add_term(
-            row["term"],
-            validity=float(row.get("validity", 0.0)),
-            status=row.get("status", "temporary"),
-        )
-    staged: dict[tuple[str, str], dict[str, str]] = {}
-    for row in data.get("schema_maps") or []:
-        extra = set(row) - {"sender", "receiver", "from", "to"}
-        if extra:
-            raise ValueError(f"unknown schema_map fields: {sorted(extra)}")
-        staged.setdefault((row["sender"], row["receiver"]), {})[row["from"]] = row["to"]
-    for (sender, receiver), table in staged.items():
-        onto.set_schema_map(sender, receiver, table)
-    return onto

@@ -17,10 +17,9 @@ tombstoned (its norm dropped, so scans skip it) and never reused.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class MemoryRecord:
     created_at: float = 0.0
     ttl: float | None = None
     importance: float = 0.0
-    origin: str = "fabric"
 
 
 class MemoryStore:
@@ -98,17 +96,12 @@ class MemoryStore:
         created_at: float = 0.0,
         ttl: float | None = None,
         importance: float = 0.0,
-        origin: str = "fabric",
         record_id: str | None = None,
     ) -> MemoryRecord:
         """Embed ``text`` and store it, assigning a fresh id when none given."""
         if record_id is None:
             self._counter += 1
             record_id = f"m{self._counter:06d}"
-        if record_id in self._rows:
-            raise ValueError(f"duplicate record id {record_id!r}")
-        if importance < 0:
-            raise ValueError("importance must be >= 0")
         rec = MemoryRecord(
             id=record_id,
             text=text,
@@ -116,25 +109,22 @@ class MemoryStore:
             created_at=created_at,
             ttl=ttl,
             importance=importance,
-            origin=origin,
         )
-        self._put(rec)
+        self.store(rec)
         return rec
 
     def store(self, record: MemoryRecord) -> str:
-        """Store a pre-built record. Its vector must match the store dimension;
-        the record's ``vector`` becomes a read-only view of its stored row."""
+        """Store a pre-built record: copy its vector into the next free row,
+        which its ``vector`` becomes a read-only view of, and index it. The
+        vector must match the store dimension."""
         if len(record.vector) != self.embedder.dim:
             raise DimensionMismatchError(
                 f"record vector has dim {len(record.vector)}, store uses {self.embedder.dim}"
             )
         if record.id in self._rows:
             raise ValueError(f"duplicate record id {record.id!r}")
-        self._put(record)
-        return record.id
-
-    def _put(self, rec: MemoryRecord) -> None:
-        """Copy the record's vector into the next free row and index it."""
+        if record.importance < 0:
+            raise ValueError("importance must be >= 0")
         row = len(self._slots)
         block, offset = divmod(row, _BLOCK_ROWS)
         if block == len(self._blocks):
@@ -146,13 +136,14 @@ class MemoryStore:
             self._inv_norms = np.concatenate([self._inv_norms, grow])
             self._weights = np.concatenate([self._weights, grow])
         vecs, frozen = self._blocks[block]
-        vecs[offset] = rec.vector
-        rec.vector = vec = frozen[offset]
-        self._weights[row] = 1.0 + rec.importance
-        self._slots.append(rec)
-        self._rows[rec.id] = row
+        vecs[offset] = record.vector
+        record.vector = vec = frozen[offset]
+        self._weights[row] = 1.0 + record.importance
+        self._slots.append(record)
+        self._rows[record.id] = row
         if self._index is not None and vec.any():
-            self._index.add(rec.id, vec)
+            self._index.add(record.id, vec)
+        return record.id
 
     def retrieve(
         self, query: np.ndarray, k: int, floor: float = float("-inf")
@@ -238,53 +229,6 @@ class MemoryStore:
                 self._index.remove(rid)
         return len(doomed)
 
-    # -- snapshot interchange ------------------------------------------------
-
-    def export_snapshot(self, fp: IO[str]) -> int:
-        """Write records as line-delimited JSON, one object per line."""
-        n = 0
-        for rec in sorted(self.records(), key=lambda r: r.id):
-            fp.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "text": rec.text,
-                        "created_at": rec.created_at,
-                        "ttl": rec.ttl,
-                        "importance": rec.importance,
-                        "origin": rec.origin,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            n += 1
-        return n
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        fp: IO[str],
-        embedder: HashingEmbedder,
-        index: HnswIndex | None = None,
-    ) -> "MemoryStore":
-        """Rebuild a store from a snapshot; vectors are recomputed from text."""
-        store = cls(embedder, index=index)
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            store.add(
-                row["text"],
-                created_at=row.get("created_at", 0.0),
-                ttl=row.get("ttl"),
-                importance=row.get("importance", 0.0),
-                origin=row.get("origin", "fabric"),
-                record_id=row["id"],
-            )
-        return store
-
 
 # ---------------------------------------------------------------------------
 # Entity state
@@ -336,9 +280,6 @@ class EntityStore:
             updated_by=newest[1],
         )
 
-    def names(self) -> list[str]:
-        return sorted(self._state)
-
 
 # ---------------------------------------------------------------------------
 # Environment manifest
@@ -362,10 +303,6 @@ class Manifest:
     def add(self, name: str) -> None:
         self._names[name] = self.embedder.embed_name(name)
         self._table = None
-
-    def discard(self, name: str) -> None:
-        if self._names.pop(name, None) is not None:
-            self._table = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._names

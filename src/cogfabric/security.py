@@ -14,10 +14,9 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-import yaml
 
 from cogfabric.core import DimensionMismatchError, FabricError, HashingEmbedder
 
@@ -29,6 +28,8 @@ FRAGMENTATION_THRESHOLD = 1.0
 BASE_SCORER_THRESHOLD = 0.8
 THRESHOLD_FLOOR = 0.5
 THRESHOLD_KAPPA = 0.3
+TRAIN_STEPS = 400
+TRAIN_LR = 2.0
 
 
 class DegenerateDataError(FabricError):
@@ -219,8 +220,6 @@ def logloss_gradient(
 def train_attack_scorer(
     examples: Sequence[tuple[str, int]],
     embedder: HashingEmbedder,
-    steps: int = 400,
-    lr: float = 2.0,
 ) -> AttackScorer:
     """Fit the logistic head by full-batch gradient descent on mean log-loss.
 
@@ -237,10 +236,10 @@ def train_attack_scorer(
     y = np.array([float(label) for _, label in examples])
     w = np.zeros(embedder.dim)
     b = 0.0
-    for _ in range(steps):
+    for _ in range(TRAIN_STEPS):
         gw, gb = logloss_gradient(w, b, X, y)
-        w = w - lr * gw
-        b = b - lr * gb
+        w = w - TRAIN_LR * gw
+        b = b - TRAIN_LR * gb
     return AttackScorer(weights=w, bias=b)
 
 
@@ -360,12 +359,7 @@ class SecurityEngine:
         scorer: AttackScorer | None = None,
         *,
         trajectory_enabled: bool = True,
-        gamma: float = GAMMA,
         window_size: int = WINDOW_SIZE,
-        fragmentation_threshold: float = FRAGMENTATION_THRESHOLD,
-        base_threshold: float = BASE_SCORER_THRESHOLD,
-        threshold_floor: float = THRESHOLD_FLOOR,
-        kappa: float = THRESHOLD_KAPPA,
     ):
         self.embedder = embedder
         self.rules = sorted(
@@ -374,12 +368,7 @@ class SecurityEngine:
         )
         self.scorer = scorer if scorer is not None else default_scorer(embedder.dim)
         self.trajectory_enabled = trajectory_enabled
-        self.gamma = gamma
         self.window_size = window_size
-        self.fragmentation_threshold = fragmentation_threshold
-        self.base_threshold = base_threshold
-        self.threshold_floor = threshold_floor
-        self.kappa = kappa
         self._windows: dict[str, deque[float]] = {}
         self.suspended_senders: set[str] = set()
 
@@ -460,13 +449,13 @@ class SecurityEngine:
         if window:
             age = 1
             for past in reversed(window):
-                total += past * (self.gamma ** age)
+                total += past * (GAMMA ** age)
                 age += 1
         return total
 
     def dynamic_threshold(self, trajectory: float) -> float:
-        norm = min(1.0, trajectory / self.fragmentation_threshold)
-        return max(self.threshold_floor, self.base_threshold - self.kappa * norm)
+        norm = min(1.0, trajectory / FRAGMENTATION_THRESHOLD)
+        return max(THRESHOLD_FLOOR, BASE_SCORER_THRESHOLD - THRESHOLD_KAPPA * norm)
 
     # -- the composed verdict ------------------------------------------------------
 
@@ -475,7 +464,6 @@ class SecurityEngine:
         text: str,
         sender: str,
         sender_tags: frozenset[str] | set[str] = frozenset(),
-        requested_action: str | None = None,
     ) -> SecurityDecision:
         """Run all three layers and compose by OR.
 
@@ -492,7 +480,7 @@ class SecurityEngine:
                 triggered=["sender-suspended"],
                 annotations=[f"sender {sender!r} is suspended pending review"],
             )
-        outcome = self.evaluate_rules(text, sender_tags, requested_action)
+        outcome = self.evaluate_rules(text, sender_tags)
         if not outcome.safe:
             if self.trajectory_enabled:
                 p, msg_risk = self.message_risk(text)
@@ -506,7 +494,7 @@ class SecurityEngine:
         threshold = self.dynamic_threshold(trajectory)
         scorer_trip = p > threshold
         frag_trip = (
-            self.trajectory_enabled and trajectory >= self.fragmentation_threshold
+            self.trajectory_enabled and trajectory >= FRAGMENTATION_THRESHOLD
         )
 
         annotations: list[str] = []
@@ -523,7 +511,7 @@ class SecurityEngine:
             suspended = True
             self.suspended_senders.add(sender)
             annotations.append(
-                f"trajectory risk {trajectory:.3f} >= {self.fragmentation_threshold}; "
+                f"trajectory risk {trajectory:.3f} >= {FRAGMENTATION_THRESHOLD}; "
                 f"sender {sender!r} suspended pending review"
             )
             if intervention is None:
@@ -549,43 +537,3 @@ class SecurityEngine:
     def _push_window(self, sender: str, risk: float) -> None:
         window = self._windows.setdefault(sender, deque(maxlen=self.window_size))
         window.append(risk)
-
-    def reset_window(self, sender: str) -> None:
-        self._windows.pop(sender, None)
-
-
-# ---------------------------------------------------------------------------
-# Config loading
-# ---------------------------------------------------------------------------
-
-def load_rules(fp: IO[str] | str) -> list[Rule]:
-    """Read a rules constitution from YAML.
-
-    Schema:
-        rules:
-          - {id: sql-drop, kind: block, pattern: '(?i)\\bdrop\\s+table\\b', priority: 10}
-          - {id: pii-ssn, kind: redact, pattern: '\\b\\d{3}-\\d{2}-\\d{4}\\b', priority: 20}
-          - {id: rbac-del, kind: rbac, action: DELETE, required_tag: Privileged_Core, priority: 5}
-    """
-    data = yaml.safe_load(fp if not isinstance(fp, str) else open(fp, encoding="utf-8"))
-    data = data or {}
-    unknown = set(data) - {"rules"}
-    if unknown:
-        raise ValueError(f"unknown rules config fields: {sorted(unknown)}")
-    rules = []
-    for row in data.get("rules") or []:
-        extra = set(row) - {"id", "kind", "pattern", "priority", "message", "required_tag", "action"}
-        if extra:
-            raise ValueError(f"unknown rule fields: {sorted(extra)}")
-        rules.append(
-            Rule(
-                id=row["id"],
-                kind=RuleKind(row["kind"]),
-                pattern=row.get("pattern", ""),
-                priority=int(row.get("priority", 100)),
-                message=row.get("message", ""),
-                required_tag=row.get("required_tag"),
-                guarded_action=row.get("action"),
-            )
-        )
-    return rules

@@ -106,12 +106,10 @@ class Router:
         embedder: HashingEmbedder,
         reward_weights: RewardWeights | None = None,
         quality_weights: QualityWeights | None = None,
-        alpha: float = ALPHA_EMA,
     ):
         self.embedder = embedder
         self.reward_weights = reward_weights or RewardWeights()
         self.quality_weights = quality_weights or QualityWeights()
-        self.alpha = alpha
         self._profiles: dict[str, AgentProfile] = {}
         self._states: dict[str, CapabilityState] = {}
         self._skills: tuple[dict[str, int], VectorTable] | None = None
@@ -146,15 +144,10 @@ class Router:
 
     # -- scoring and selection --------------------------------------------------
 
-    def quality(
-        self,
-        task: np.ndarray,
-        agent_id: str,
-        weights: QualityWeights | None = None,
-    ) -> float:
+    def quality(self, task: np.ndarray, agent_id: str) -> float:
         """Selection score: estimated reward plus similarity, minus cost,
         latency, and queue-depth penalties."""
-        w = weights or self.quality_weights
+        w = self.quality_weights
         state = self.state(agent_id)
         profile = self.profile(agent_id)
         s_hat = state.mu_perf.get(0, self.reward_weights.w1)
@@ -186,7 +179,7 @@ class Router:
     ) -> str:
         """Epsilon-greedy choice: argmax quality with probability 1 - epsilon,
         uniform otherwise. Quality ties break toward the smaller agent id."""
-        candidates = sorted(among) if among is not None else self.agents()
+        candidates = sorted(set(among)) if among is not None else self.agents()
         if not candidates:
             raise NoAgentsError("no agents registered")
         for cand in candidates:
@@ -263,8 +256,8 @@ class Router:
         state = self.state(agent_id)
         r = self.reward_weights.reward(success, cost, latency)
         old = state.mu_perf.get(0, self.reward_weights.w1)
-        state.mu_perf[0] = (1.0 - self.alpha) * old + self.alpha * r
-        state.tau_lat = (1.0 - self.alpha) * state.tau_lat + self.alpha * latency
+        state.mu_perf[0] = (1.0 - ALPHA_EMA) * old + ALPHA_EMA * r
+        state.tau_lat = (1.0 - ALPHA_EMA) * state.tau_lat + ALPHA_EMA * latency
         state.l_load = max(0, state.l_load - 1)
         return r, state
 

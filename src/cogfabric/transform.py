@@ -14,9 +14,7 @@ altering benign traffic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO
 
 from cogfabric.core import FabricError
 from cogfabric.grounding import GroundingDecision, Verdict, translate
@@ -115,23 +113,6 @@ class EdgePolicyStore:
         versions themselves; local edits go through ``set_policy``."""
         self._policies[(policy.sender, policy.receiver)] = policy
 
-    def export_jsonl(self, fp: IO[str]) -> int:
-        rows = sorted(self._policies.values(), key=lambda p: (p.sender, p.receiver))
-        for p in rows:
-            fp.write(
-                json.dumps(
-                    {
-                        "sender": p.sender,
-                        "receiver": p.receiver,
-                        "version": p.version,
-                        "text": p.text,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        return len(rows)
-
 
 class Transformer:
     """Inject, then sanitize, then translate."""
@@ -143,14 +124,13 @@ class Transformer:
         security: SecurityEngine | None = None,
         policies: EdgePolicyStore | None = None,
         token_budget: int = DEFAULT_TOKEN_BUDGET,
-        top_k: int = DEFAULT_TOP_K,
         retrieval_floor: float = DEFAULT_RETRIEVAL_FLOOR,
     ):
         self.memory = memory
         self.security = security
         self.policies = policies if policies is not None else EdgePolicyStore()
         self.token_budget = token_budget
-        self.top_k = top_k
+        self.top_k = DEFAULT_TOP_K
         self.retrieval_floor = retrieval_floor
 
     def transform(
@@ -160,7 +140,6 @@ class Transformer:
         sender: str = "",
         receiver: str = "",
         sender_tags: frozenset[str] | set[str] = frozenset(),
-        requested_action: str | None = None,
         grounding: GroundingDecision | None = None,
         schema_map: dict[str, str] | None = None,
     ) -> TransformResult:
@@ -209,9 +188,7 @@ class Transformer:
         # stage 2: sanitize
         decision: SecurityDecision | None = None
         if self.security is not None:
-            decision = self.security.evaluate(
-                text, sender, sender_tags=sender_tags, requested_action=requested_action
-            )
+            decision = self.security.evaluate(text, sender, sender_tags=sender_tags)
             if decision.intervention is Intervention.BLOCK:
                 raise TransformHaltedError(
                     "security-block",

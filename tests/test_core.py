@@ -228,9 +228,6 @@ def test_envelope_ids_unique_and_trace_appends() -> None:
     e1 = make_envelope("a", "hello", to="b")
     e2 = make_envelope("a", "hello", to="b")
     assert e1.id != e2.id
-    e1.annotate("node-0:gate")
-    e1.annotate("node-0:sanitize")
-    assert e1.trace == ["node-0:gate", "node-0:sanitize"]
 
 
 def test_envelope_requires_one_addressing() -> None:

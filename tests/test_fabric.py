@@ -472,6 +472,16 @@ def test_single_node_gossip_is_a_no_op():
     assert run_gossip([only], Random(0), beta=3) == 0
 
 
+@pytest.mark.parametrize("beta", [0, -1])
+def test_gossip_rejects_a_fanout_below_one(beta):
+    nodes = [node(node_id=f"n{i}") for i in range(3)]
+    nodes[0].publish_term("alpha", 0.9)
+    with pytest.raises(ValueError, match="beta"):
+        gossip_tick(nodes, Random(0), beta=beta)
+    with pytest.raises(ValueError, match="beta"):
+        run_gossip(nodes, Random(0), beta=beta)
+
+
 def test_expected_propagation_rounds_grows_with_log_n():
     assert expected_propagation_rounds(1, 3) == 0.0
     assert expected_propagation_rounds(16, 2) == pytest.approx(math.log(16) / 2)

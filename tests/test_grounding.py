@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,6 @@ from cogfabric.grounding import (
     gate,
     ghost_check,
     ground,
-    load_ontology,
     translate,
 )
 from cogfabric.memory import EntityStore, Manifest
@@ -359,45 +356,3 @@ def test_cyclic_schema_map_is_refused_at_install() -> None:
     with pytest.raises(CyclicTableError):
         onto.set_schema_map("a", "b", {"x": "y", "y": "x"})
     assert onto.schema_map("a", "b") == {}
-    assert onto.schema_edges() == []
-
-
-def test_load_ontology_refuses_a_cyclic_schema_map() -> None:
-    doc = io.StringIO(
-        """
-schema_maps:
-  - {sender: a, receiver: b, from: client, to: customer}
-  - {sender: a, receiver: b, from: Customer, to: client}
-"""
-    )
-    with pytest.raises(CyclicTableError):
-        load_ontology(doc, EMB)
-
-
-def test_load_ontology_from_yaml() -> None:
-    doc = io.StringIO(
-        """
-terms:
-  - {term: Payment-Gateway, validity: 1.0, status: permanent}
-  - {term: db-01, validity: 0.5}
-schema_maps:
-  - {sender: sales, receiver: sql, from: client, to: customer}
-  - {sender: sales, receiver: sql, from: client_id, to: customer_uuid}
-"""
-    )
-    onto = load_ontology(doc, EMB)
-    assert onto.terms() == ["Payment-Gateway", "db-01"]
-    assert onto.term("Payment-Gateway").status == "permanent"
-    assert onto.term("db-01").validity == 0.5
-    assert onto.schema_map("sales", "sql") == {
-        "client": "customer",
-        "client_id": "customer_uuid",
-    }
-    assert onto.schema_map("sql", "sales") == {}
-
-
-def test_load_ontology_rejects_unknown_fields() -> None:
-    with pytest.raises(ValueError, match="bogus"):
-        load_ontology(io.StringIO("bogus: 1\n"), EMB)
-    with pytest.raises(ValueError):
-        load_ontology(io.StringIO("terms:\n  - {term: x, nope: 2}\n"), EMB)

@@ -1,6 +1,5 @@
 """Rule evaluation, the learned scorer, trajectory risk, and their composition."""
 
-import io
 import random
 import re
 
@@ -23,7 +22,6 @@ from cogfabric.security import (
     SecurityEngine,
     SecurityVerdict,
     default_scorer,
-    load_rules,
     logloss_gradient,
     mean_logloss,
     neutralize,
@@ -447,32 +445,3 @@ def test_decision_reports_probability_and_trajectory():
     d = eng.evaluate("Import the os library.", "s")
     assert d.p_attack == pytest.approx(1.0 / (1.0 + np.exp(4.0)))
     assert d.trajectory_risk == pytest.approx(d.p_attack + 0.25)
-
-
-# ---------------------------------------------------------------------------
-# Config loading
-# ---------------------------------------------------------------------------
-
-RULES_YAML = """\
-rules:
-  - {id: custom-block, kind: block, pattern: '(?i)\\bformat c:', priority: 1,
-     message: Disk format attempt.}
-  - {id: custom-redact, kind: redact, pattern: 'tok_[a-z0-9]+', priority: 2}
-  - {id: guard-wipe, kind: rbac, action: WIPE, required_tag: Privileged_Core, priority: 3}
-"""
-
-
-def test_load_rules_round_trip():
-    rules = load_rules(io.StringIO(RULES_YAML))
-    assert [r.id for r in rules] == ["custom-block", "custom-redact", "guard-wipe"]
-    eng = SecurityEngine(EMB, rules=rules)
-    assert not eng.evaluate_rules("please format c: tonight").safe
-    assert eng.evaluate_rules("key tok_abc123 here").text == f"key {REDACTED} here"
-    assert not eng.evaluate_rules("x", requested_action="WIPE").safe
-
-
-def test_load_rules_rejects_unknown_fields():
-    with pytest.raises(ValueError, match="severity"):
-        load_rules(io.StringIO("rules:\n  - {id: a, kind: block, pattern: x, severity: 9}\n"))
-    with pytest.raises(ValueError, match="extra"):
-        load_rules(io.StringIO("extra: 1\nrules: []\n"))

@@ -283,9 +283,9 @@ def manifest_case(draw):
         for _ in range(draw(st.integers(0, 24)))
     ]
     manifest = Manifest(EMB, members)
-    for gone in draw(st.lists(st.sampled_from(members or ["x"]), max_size=3)):
-        manifest.suggest("alpha")  # builds the cached matrix before the discard
-        manifest.discard(gone)
+    for late in draw(st.lists(st.sampled_from(words), max_size=3)):
+        manifest.suggest("alpha")  # builds the cached matrix before the add
+        manifest.add(late + ".log")
     name = "_".join(draw(st.lists(st.sampled_from(words + ["zork"]), max_size=3))) + ".csv"
     sims = [ref_cosine(EMB.embed_name(name), EMB.embed_name(m))
             for m in manifest.names if EMB.embed_name(m).any() and EMB.embed_name(name).any()]

@@ -175,6 +175,18 @@ def test_select_among_restricts_candidates() -> None:
     assert r.select(task, 0.0, random.Random(0), among=["c"]) == "c"
 
 
+def test_select_among_ignores_duplicate_ids() -> None:
+    # a repeated id must not weigh more in exploration
+    r = _router()
+    for aid in ["a", "b"]:
+        _add(r, aid, f"skill {aid}")
+    task = EMB.embed("skill a")
+    rng1, rng2 = random.Random(5), random.Random(5)
+    doubled = [r.select(task, 1.0, rng1, among=["a", "a", "b"]) for _ in range(200)]
+    plain = [r.select(task, 1.0, rng2, among=["a", "b"]) for _ in range(200)]
+    assert doubled == plain
+
+
 # ---------------------------------------------------------------------------
 # Outcomes and the moving estimates
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """The inject -> sanitize -> translate pipeline and its supporting stores."""
 
-import io
-import json
 import random
 
 import pytest
@@ -17,7 +15,6 @@ from cogfabric.security import (
     train_attack_scorer,
 )
 from cogfabric.transform import (
-    EdgePolicy,
     EdgePolicyStore,
     TransformHaltedError,
     Transformer,
@@ -224,21 +221,3 @@ def test_policy_versions_increment_per_edge():
     assert store.set_policy("a", "b", "v two").version == 2
     assert store.set_policy("a", "c", "other edge").version == 1
     assert store.get("a", "b").text == "v two"
-
-
-def test_policy_jsonl_round_trip():
-    store = EdgePolicyStore()
-    store.set_policy("a", "b", "first")
-    store.set_policy("a", "b", "second")
-    store.set_policy("x", "y", "cross edge")
-    buf = io.StringIO()
-    assert store.export_jsonl(buf) == 2
-    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert rows == [
-        {"sender": "a", "receiver": "b", "version": 2, "text": "second"},
-        {"sender": "x", "receiver": "y", "version": 1, "text": "cross edge"},
-    ]
-    # each exported line reads back into the policy it came from
-    for row in rows:
-        policy = EdgePolicy(row["sender"], row["receiver"], row["text"], row["version"])
-        assert store.get(row["sender"], row["receiver"]) == policy
