@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,9 @@ _NAME_PART_RE = re.compile(r"[a-z0-9]+")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# hashes of the most recent distinct tokens: about 1 MB at most, with room for
+# the ~2,600 distinct tokens of one 1,000-record large-store bench pass
+_TOKEN_HASH_CACHE_SIZE = 1 << 12
 
 
 def fnv1a64(data: bytes) -> int:
@@ -52,6 +56,11 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+@lru_cache(maxsize=_TOKEN_HASH_CACHE_SIZE)
+def _token_hash(token: str) -> int:
+    return fnv1a64(token.encode("utf-8"))
 
 
 def tokenize(text: str) -> list[str]:
@@ -97,7 +106,7 @@ class HashingEmbedder:
     def _accumulate(self, tokens: list[str]) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
         for tok in tokens:
-            vec[fnv1a64(tok.encode("utf-8")) % self.dim] += 1.0
+            vec[_token_hash(tok) % self.dim] += 1.0
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

@@ -7,11 +7,12 @@ exist, then run the inject/sanitize/translate pipeline and deliver. A message
 can be stopped at any stage and the result says exactly where and why.
 
 Nodes synchronize learned state (security rules, ontology terms, edge
-policies, capability estimates) by push gossip: each tick every node forwards
-its delta log to a few random peers, and per-origin counters give every node
-the same eventually-consistent view regardless of arrival order. Writes to
-one term or rule are arbitrated by the writer's clock, so a causally later
-write wins on every node.
+policies, capability estimates) by push gossip: each tick every node sends a
+few random peers the part of its delta log they lack, and per-origin counters
+give every node the same eventually-consistent view regardless of arrival
+order. Writes to one term or rule are arbitrated by the writer's clock, so a
+causally later write wins on every node. A delta whose payload is malformed
+advances its origin's counter and changes nothing else.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from cogfabric.core import (
 from cogfabric.grounding import (
     TAU_SOFT,
     TAU_VALID,
+    TERM_STATUSES,
     GhostReport,
     GroundingDecision,
     Ontology,
@@ -160,6 +162,60 @@ class PolicyDelta:
 
     def sort_key(self) -> int:
         return self.counter
+
+
+_TEXT = (str,)
+_NUMBER = (int, float)
+_OPTIONAL_TEXT = (str, type(None))
+
+# the payload fields each delta kind reads, with the types it can use
+_PAYLOAD_TYPES: dict[str, dict[str, tuple[type, ...]]] = {
+    "security-rule": {
+        "id": _TEXT,
+        "kind": _TEXT,
+        "pattern": _TEXT,
+        "priority": _NUMBER,
+        "message": _TEXT,
+        "required_tag": _OPTIONAL_TEXT,
+        "action": _OPTIONAL_TEXT,
+    },
+    "ontology-term": {"term": _TEXT, "validity": _NUMBER, "status": _TEXT},
+    "edge-policy": {"sender": _TEXT, "receiver": _TEXT, "text": _TEXT, "version": _NUMBER},
+    "capability-state": {
+        "agent": _TEXT,
+        "skill_text": _TEXT,
+        "mu_perf": (dict,),
+        "tau_lat": _NUMBER,
+        "c_cost": _NUMBER,
+        "tick": _NUMBER,
+    },
+}
+# the fields without a default; the others may be left out
+_REQUIRED_FIELDS: dict[str, frozenset[str]] = {
+    "security-rule": frozenset({"id", "kind"}),
+    "ontology-term": frozenset({"term"}),
+    "edge-policy": frozenset({"sender", "receiver", "text", "version"}),
+    "capability-state": frozenset({"agent", "mu_perf", "tau_lat", "c_cost", "tick"}),
+}
+
+
+def _well_formed(kind: str, payload: object) -> bool:
+    """Whether a payload carries every field its kind needs, each of a usable
+    type, so that applying it cannot fail halfway."""
+    if not isinstance(payload, dict) or not _REQUIRED_FIELDS[kind] <= payload.keys():
+        return False
+    types = _PAYLOAD_TYPES[kind]
+    for name, value in payload.items():
+        accepted = types.get(name)
+        if accepted is not None and not isinstance(value, accepted):
+            return False
+    if kind == "ontology-term":
+        return payload.get("status", "temporary") in TERM_STATUSES
+    if kind == "capability-state":
+        for key, value in payload["mu_perf"].items():
+            if not (isinstance(key, str) and key.isdecimal() and isinstance(value, _NUMBER)):
+                return False
+    return True
 
 
 _ARTIFACT_RE = re.compile(r"[A-Za-z0-9]\.[A-Za-z0-9]")
@@ -462,6 +518,10 @@ class FabricNode:
 
     def _apply_payload(self, delta: PolicyDelta) -> None:
         payload = delta.payload
+        if delta.kind not in _PAYLOAD_TYPES:
+            raise ValueError(f"unknown delta kind {delta.kind!r}")
+        if not _well_formed(delta.kind, payload):
+            return  # one peer's malformed delta must not disable or half-update a node
         if delta.kind == "security-rule":
             try:
                 rule = Rule(
@@ -474,12 +534,10 @@ class FabricNode:
                     guarded_action=payload.get("action"),
                 )
             except ValueError:
-                return  # one peer's malformed rule must not disable every node
+                return  # an unknown rule kind or a pattern that does not compile
             if not self._wins(("rule", rule.id), (delta.clock, delta.origin)):
                 return
-            kept = [r for r in self.security.rules if r.id != rule.id]
-            kept.append(rule)
-            self.security.rules = sorted(kept, key=lambda r: (r.priority, r.id))
+            self.security.install_rule(rule)
         elif delta.kind == "ontology-term":
             if not self._wins(("term", payload["term"]), (delta.clock, delta.origin)):
                 return
@@ -500,7 +558,7 @@ class FabricNode:
                     version=payload["version"],
                 )
             )
-        elif delta.kind == "capability-state":
+        else:
             agent = payload["agent"]
             if not self._wins(("cap", agent), (payload["tick"], delta.origin)):
                 return
@@ -516,17 +574,25 @@ class FabricNode:
             state.mu_perf = {int(k): float(v) for k, v in payload["mu_perf"].items()}
             state.tau_lat = float(payload["tau_lat"])
             state.c_cost = float(payload["c_cost"])
-        else:
-            raise ValueError(f"unknown delta kind {delta.kind!r}")
 
     def push_to(self, peer: "FabricNode") -> int:
-        """Send everything the peer has not seen yet. Returns deltas sent."""
+        """Send everything the peer has not seen yet. Returns deltas sent.
+
+        Costs one dict comparison when the peer already holds everything;
+        otherwise it visits only the origins whose counters differ, in sorted
+        origin order, and sends each log tail the peer lacks.
+        """
+        mine, theirs = self.version_vector, peer.version_vector
+        if mine == theirs:
+            return 0
         sent = 0
-        for origin in sorted(self._log):
+        for origin, counter in sorted(mine.items() - theirs.items()):
             # the log is contiguous by counter, so the peer lacks exactly the tail
-            for delta in self._log[origin][peer.version_vector.get(origin, 0):]:
-                peer.apply_delta(delta)
-                sent += 1
+            seen = theirs.get(origin, 0)
+            if seen < counter:
+                for delta in self._log[origin][seen:]:
+                    peer.apply_delta(delta)
+                    sent += 1
         return sent
 
     def pending_count(self) -> int:
@@ -559,17 +625,24 @@ def gossip_tick(nodes: list[FabricNode], rng: Random, beta: int) -> int:
 
 
 def _converged(nodes: list[FabricNode]) -> bool:
-    target: dict[str, int] = {}
-    for node in nodes:
-        for origin, counter in node.version_vector.items():
-            target[origin] = max(target.get(origin, 0), counter)
+    """One pass of dict comparisons: every version vector equals the first
+    node's and nothing waits in a buffer. All vectors equal their element-wise
+    maximum exactly when they all equal each other."""
+    first = nodes[0].version_vector if nodes else None
     return all(
-        node.version_vector == target and node.pending_count() == 0 for node in nodes
+        node.version_vector == first and not any(node._pending.values())
+        for node in nodes
     )
 
 
 def run_gossip(nodes: list[FabricNode], rng: Random, beta: int) -> int:
-    """Ticks until every node holds every delta. 0 when already converged."""
+    """Ticks until every node holds every delta. 0 when already converged.
+
+    Each tick makes ``len(nodes) * min(beta, len(nodes) - 1)`` pushes; a push
+    to a peer that holds everything costs one dict comparison, so a tick
+    costs that many comparisons plus the deltas actually sent. Convergence is
+    checked in one pass over the nodes before each tick.
+    """
     _check_beta(beta)
     for tick in range(MAX_GOSSIP_TICKS + 1):
         if _converged(nodes):

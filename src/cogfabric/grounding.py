@@ -30,6 +30,7 @@ TAU_SOFT = 0.40
 PROMOTE_AT = 0.8
 DEMOTE_AT = 0.2
 SUGGESTION_FLOOR = 0.3
+TERM_STATUSES = ("temporary", "permanent")
 
 # accumulated +/- alpha steps drift by ulps; threshold checks absorb that
 _EPS = 1e-9
@@ -158,7 +159,7 @@ class Ontology:
     def add_term(
         self, term: str, validity: float = 0.0, status: str = "temporary"
     ) -> TermEntry:
-        if status not in ("temporary", "permanent"):
+        if status not in TERM_STATUSES:
             raise ValueError(f"bad term status {status!r}")
         entry = TermEntry(
             term=term,

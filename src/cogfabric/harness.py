@@ -31,7 +31,7 @@ import yaml
 
 from cogfabric.core import AgentProfile, FabricError, HashingEmbedder, make_envelope
 from cogfabric.fabric import DeploymentMode, FabricNode, InterceptResult, run_gossip
-from cogfabric.grounding import TAU_SOFT, TAU_VALID, extract_entities
+from cogfabric.grounding import TAU_SOFT, TAU_VALID, TERM_STATUSES, extract_entities
 from cogfabric.security import lexicon_matches
 from cogfabric.topology import RewardWeights, Router
 from cogfabric.transform import DEFAULT_LAMBDA, compute_loss
@@ -377,7 +377,7 @@ class TaskSpec:
                 and len(row) == 3
                 and isinstance(row[0], str)
                 and isinstance(row[1], (int, float))
-                and row[2] in ("temporary", "permanent"),
+                and row[2] in TERM_STATUSES,
                 f"tasks.ontology[{i}] must be [term, validity, "
                 "'temporary'|'permanent']",
             )

@@ -11,6 +11,7 @@ attacks split across individually innocent messages.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,6 +73,10 @@ class Rule:
         except re.error as err:
             raise ValueError(f"rule {self.id!r}: invalid pattern: {err}") from None
         object.__setattr__(self, "regex", regex)
+
+
+def _rule_order(rule: Rule) -> tuple:
+    return (rule.priority, rule.id)
 
 
 DEFAULT_RULES: list[Rule] = [
@@ -362,10 +367,7 @@ class SecurityEngine:
         window_size: int = WINDOW_SIZE,
     ):
         self.embedder = embedder
-        self.rules = sorted(
-            DEFAULT_RULES if rules is None else rules,
-            key=lambda r: (r.priority, r.id),
-        )
+        self.rules = sorted(DEFAULT_RULES if rules is None else rules, key=_rule_order)
         self.scorer = scorer if scorer is not None else default_scorer(embedder.dim)
         self.trajectory_enabled = trajectory_enabled
         self.window_size = window_size
@@ -373,6 +375,13 @@ class SecurityEngine:
         self.suspended_senders: set[str] = set()
 
     # -- layer 1: rules ------------------------------------------------------
+
+    def install_rule(self, rule: Rule) -> None:
+        """Replace any rule with the same id, keeping the list in evaluation
+        order (priority, then id) without re-sorting it."""
+        rules = [r for r in self.rules if r.id != rule.id]
+        insort(rules, rule, key=_rule_order)
+        self.rules = rules
 
     def evaluate_rules(
         self,

@@ -51,9 +51,24 @@ def _oracle_tokens(text: str) -> list[str]:
     return out
 
 
+def _oracle_name_parts(name: str) -> list[str]:
+    parts, cur = [], []
+    for ch in name.lower() + " ":
+        if ch.isascii() and ch.isalnum():
+            cur.append(ch)
+        elif cur:
+            parts.append("".join(cur))
+            cur = []
+    return parts
+
+
 def _oracle_embed(text: str, dim: int) -> list[float]:
+    return _oracle_vector(_oracle_tokens(text), dim)
+
+
+def _oracle_vector(tokens: list[str], dim: int) -> list[float]:
     counts = [0.0] * dim
-    for tok in _oracle_tokens(text):
+    for tok in tokens:
         counts[_oracle_fnv(tok.encode("utf-8")) % dim] += 1.0
     norm = math.sqrt(sum(c * c for c in counts))
     if norm == 0.0:
@@ -165,6 +180,25 @@ def test_embed_similarity_ordering() -> None:
 def test_embed_is_pure(text: str) -> None:
     emb = HashingEmbedder(dim=32)
     assert np.array_equal(emb.embed(text), emb.embed(text))
+
+
+# plain ASCII words and separators mixed with arbitrary code points, so that
+# tokens repeat within and across examples and the token-hash cache is hit
+_MIXED_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from("abcxyz019 _.-")), max_size=80
+)
+
+
+@given(_MIXED_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_cached_token_hashes_embed_bit_for_bit(text: str) -> None:
+    emb = HashingEmbedder(dim=97)
+    for _ in range(2):  # cold and warm cache
+        assert emb.embed(text).tobytes() == np.array(_oracle_embed(text, 97)).tobytes()
+        assert (
+            emb.embed_name(text).tobytes()
+            == np.array(_oracle_vector(_oracle_name_parts(text), 97)).tobytes()
+        )
 
 
 def test_embed_name_uses_subtokens() -> None:

@@ -433,6 +433,75 @@ def test_malformed_gossiped_rule_is_skipped():
     assert result.delivered
 
 
+def _full_state(n: FabricNode):
+    return (
+        {t: (n.ontology.term(t).validity, n.ontology.term(t).status) for t in n.ontology.terms()},
+        [(r.id, r.pattern, r.priority) for r in n.security.rules],
+        n.policies.get("s", "r"),
+        {a: vars(n.router.state(a)).copy() for a in n.router.agents()},
+        dict(n._kv_stamps),
+    )
+
+
+_GOOD_CAPABILITY = {"agent": "q", "mu_perf": {"0": 0.5}, "tau_lat": 0.2, "c_cost": 0.0, "tick": 1}
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("ontology-term", {"validity": 0.5}),
+        ("ontology-term", {"term": "Payment-Gateway", "validity": "high"}),
+        ("ontology-term", {"term": "Payment-Gateway", "status": "draft"}),
+        ("edge-policy", {"sender": "s", "receiver": "r", "text": "numbered steps"}),
+        ("edge-policy", {"sender": "s", "receiver": "r", "text": None, "version": 1}),
+        ("capability-state", {**_GOOD_CAPABILITY, "mu_perf": [0.5]}),
+        ("capability-state", {**_GOOD_CAPABILITY, "mu_perf": {"best": 0.5}}),
+        ("capability-state", {**_GOOD_CAPABILITY, "tick": "late"}),
+        ("security-rule", {"id": "bad", "kind": "block", "pattern": "x", "priority": "high"}),
+        ("security-rule", {"id": "bad", "kind": "block", "pattern": 7}),
+    ],
+    ids=[
+        "term-without-term",
+        "term-text-validity",
+        "term-unknown-status",
+        "policy-without-version",
+        "policy-null-text",
+        "capability-list-mu-perf",
+        "capability-named-mu-perf-key",
+        "capability-text-tick",
+        "rule-text-priority",
+        "rule-number-pattern",
+    ],
+)
+def test_malformed_delta_of_any_kind_is_skipped_whole(kind, payload):
+    n = node(node_id="n", router=router_with(("bob", "general help")))
+    before = _full_state(n)
+    bad = PolicyDelta(origin="peer", counter=1, clock=1, kind=kind, payload=payload)
+    assert n.apply_delta(bad) is DeltaStatus.APPLIED
+    assert n.version_vector == {"peer": 1}
+    assert _full_state(n) == before  # nothing half-applied
+    assert "q" not in n.router.agents()
+    # the origin's next delta still applies, and traffic still flows
+    good = PolicyDelta(origin="peer", counter=2, clock=2, kind="capability-state",
+                       payload=_GOOD_CAPABILITY)
+    assert n.apply_delta(good) is DeltaStatus.APPLIED
+    assert n.router.state("q").mu_perf == {0: 0.5}
+    result = n.intercept(make_envelope("alice", "please summarize the meeting", to="bob"))
+    assert result.delivered
+
+
+def test_gossiped_rules_stay_ordered_by_priority_then_id():
+    a, b = node(node_id="a"), node(node_id="b")
+    for rule_id, priority in [("m", 50), ("c", 5), ("z", 50), ("a", 50), ("m", 1)]:
+        a.publish_rule(Rule(id=rule_id, kind=RuleKind.BLOCK, pattern=rule_id, priority=priority))
+    a.push_to(b)
+    for n in (a, b):
+        order = [(r.priority, r.id) for r in n.security.rules]
+        assert order == sorted(order)
+        assert [r.id for r in n.security.rules].count("m") == 1
+        assert next(r.priority for r in n.security.rules if r.id == "m") == 1
+
+
 def test_unknown_delta_kind_is_rejected():
     a = node(node_id="a")
     with pytest.raises(ValueError, match="unknown delta kind"):
