@@ -11,8 +11,9 @@ policies, capability estimates) by push gossip: each tick every node sends a
 few random peers the part of its delta log they lack, and per-origin counters
 give every node the same eventually-consistent view regardless of arrival
 order. Writes to one term or rule are arbitrated by the writer's clock, so a
-causally later write wins on every node. A delta whose payload is malformed
-advances its origin's counter and changes nothing else.
+causally later write wins on every node. A delta whose kind, clock or
+payload is malformed advances its origin's counter and changes nothing else;
+one whose origin or counter is malformed is rejected outright.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from cogfabric.security import (
 )
 from cogfabric.topology import NoAgentsError, NoCapableAgentError, Router, UnknownAgentError
 from cogfabric.transform import (
+    DEFAULT_TOKEN_BUDGET,
     EdgePolicy,
     EdgePolicyStore,
     TransformHaltedError,
@@ -148,6 +150,7 @@ class DeltaStatus(str, Enum):
     APPLIED = "applied"
     IGNORED_STALE = "ignored-stale"
     BUFFERED = "buffered"
+    REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,10 @@ _REQUIRED_FIELDS: dict[str, frozenset[str]] = {
 }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _well_formed(kind: str, payload: object) -> bool:
     """Whether a payload carries every field its kind needs, each of a usable
     type, so that applying it cannot fail halfway."""
@@ -236,18 +243,13 @@ class FabricNode:
         mode: DeploymentMode = DeploymentMode.SIDECAR,
         embedder: HashingEmbedder | None = None,
         memory: MemoryStore | None = None,
-        entity_store: EntityStore | None = None,
-        manifest: Manifest | None = None,
-        ontology: Ontology | None = None,
         router: Router | None = None,
-        security: SecurityEngine | None = None,
-        policies: EdgePolicyStore | None = None,
         allowed_edges: set[tuple[str, str]] | None = None,
         epsilon: float = 0.1,
         tau_edge: float = DEFAULT_TAU_EDGE,
         tau_valid: float = TAU_VALID,
         tau_soft: float = TAU_SOFT,
-        token_budget: int = 64,
+        token_budget: int = DEFAULT_TOKEN_BUDGET,
         retrieval_floor: float = 0.25,
         seed: int = 0,
     ):
@@ -255,14 +257,12 @@ class FabricNode:
         self.mode = mode
         self.embedder = embedder if embedder is not None else HashingEmbedder()
         self.memory = memory if memory is not None else MemoryStore(self.embedder)
-        self.entity_store = entity_store if entity_store is not None else EntityStore()
-        self.manifest = manifest if manifest is not None else Manifest(self.embedder)
-        self.ontology = ontology if ontology is not None else Ontology(self.embedder)
+        self.entity_store = EntityStore()
+        self.manifest = Manifest(self.embedder)
+        self.ontology = Ontology(self.embedder)
         self.router = router if router is not None else Router(self.embedder)
-        self.security = (
-            security if security is not None else SecurityEngine(self.embedder)
-        )
-        self.policies = policies if policies is not None else EdgePolicyStore()
+        self.security = SecurityEngine(self.embedder)
+        self.policies = EdgePolicyStore()
         self.allowed_edges = allowed_edges
         self.epsilon = epsilon
         self.tau_edge = tau_edge
@@ -420,17 +420,16 @@ class FabricNode:
 
     def emit_delta(self, kind: str, payload: dict) -> PolicyDelta:
         """Record a local change and make it available to peers."""
-        counter = self.version_vector.get(self.node_id, 0) + 1
+        if kind not in _PAYLOAD_TYPES:
+            raise ValueError(f"unknown delta kind {kind!r}")
         delta = PolicyDelta(
             origin=self.node_id,
-            counter=counter,
+            counter=self.version_vector.get(self.node_id, 0) + 1,
             clock=sum(self.version_vector.values()) + 1,
             kind=kind,
             payload=payload,
         )
-        self._apply_payload(delta)
-        self.version_vector[self.node_id] = counter
-        self._log.setdefault(self.node_id, []).append(delta)
+        self._apply_in_order(delta)
         return delta
 
     def publish_rule(self, rule: Rule) -> PolicyDelta:
@@ -485,8 +484,12 @@ class FabricNode:
         """Fold in a peer's delta, strictly in per-origin counter order.
 
         A delta that arrives early waits in a per-origin buffer until the gap
-        fills; one that arrives late is dropped as already seen.
+        fills; one that arrives late is dropped as already seen. One whose
+        origin is not a string or whose counter is not an integer cannot be
+        placed in that order, so it is rejected and changes nothing.
         """
+        if not (isinstance(delta.origin, str) and _is_int(delta.counter)):
+            return DeltaStatus.REJECTED
         known = self.version_vector.get(delta.origin, 0)
         if delta.counter <= known:
             return DeltaStatus.IGNORED_STALE
@@ -518,9 +521,11 @@ class FabricNode:
 
     def _apply_payload(self, delta: PolicyDelta) -> None:
         payload = delta.payload
-        if delta.kind not in _PAYLOAD_TYPES:
-            raise ValueError(f"unknown delta kind {delta.kind!r}")
-        if not _well_formed(delta.kind, payload):
+        if (
+            delta.kind not in _PAYLOAD_TYPES
+            or not _is_int(delta.clock)
+            or not _well_formed(delta.kind, payload)
+        ):
             return  # one peer's malformed delta must not disable or half-update a node
         if delta.kind == "security-rule":
             try:

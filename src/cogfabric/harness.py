@@ -20,8 +20,11 @@ sequentially; order-dependent metrics like the regret curve rely on that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cache
+import math
+import sys
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
 from random import Random
 from string import Formatter
@@ -30,11 +33,18 @@ from typing import IO, Any
 import yaml
 
 from cogfabric.core import AgentProfile, FabricError, HashingEmbedder, make_envelope
-from cogfabric.fabric import DeploymentMode, FabricNode, InterceptResult, run_gossip
+from cogfabric.fabric import (
+    DEFAULT_TAU_EDGE,
+    DeploymentMode,
+    FabricNode,
+    InterceptResult,
+    LatencyTrace,
+    run_gossip,
+)
 from cogfabric.grounding import TAU_SOFT, TAU_VALID, TERM_STATUSES, extract_entities
 from cogfabric.security import lexicon_matches
 from cogfabric.topology import RewardWeights, Router
-from cogfabric.transform import DEFAULT_LAMBDA, compute_loss
+from cogfabric.transform import DEFAULT_LAMBDA, DEFAULT_TOKEN_BUDGET, compute_loss
 
 
 class ConfigError(ValueError):
@@ -49,27 +59,12 @@ class MismatchedSeedsError(FabricError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-_AGENT_FIELDS = {"id", "skill", "success", "boosted", "cost", "latency", "arrival"}
-_FABRIC_FIELDS = {
-    "enabled",
-    "mode",
-    "epsilon",
-    "epsilon_decay",
-    "tau_valid",
-    "tau_soft",
-    "tau_edge",
-    "reward_weights",
-    "lambda",
-    "token_budget",
-    "retrieval_floor",
-    "nodes",
-}
-_TASK_FIELDS = {"sender", "templates", "pool", "clarify", "memory", "ontology"}
-_TOP_FIELDS = {"name", "seed", "episodes", "agents", "edges", "fabric", "tasks"}
-
 _MODES = {m.value: m for m in DeploymentMode}
 
 _SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+# the YAML key of each field whose key is not its name
+_YAML_KEYS = {"loss_lambda": "lambda"}
 
 
 @cache
@@ -88,20 +83,155 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _no_unknown(given: Any, allowed: set, where: str) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        suffix = f" in {where}" if where else ""
-        raise ConfigError(f"unknown field {sorted(unknown)[0]!r}{suffix}")
+# A check takes a YAML value and the name of its field, raises ConfigError
+# naming that field if the value is bad, and returns what the config holds.
+# Checks build a message only when they raise: they run on every list entry.
+_Check = Callable[[Any, str], Any]
 
 
-def _probability(value: Any, where: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{where} must be a number",
-    )
-    _require(0.0 <= value <= 1.0, f"{where} must be in [0, 1]")
+def _number(
+    value: Any, where: str, lo: float = -math.inf, hi: float = math.inf
+) -> float:
+    """A finite number in [lo, hi]; a boolean is not a number."""
+    if not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        # finite, and no integer too large for a float
+        and -sys.float_info.max <= value <= sys.float_info.max
+        and lo <= value <= hi
+    ):
+        raise ConfigError(f"{where} must be a finite number in [{lo:g}, {hi:g}]")
     return float(value)
+
+
+def _integer(value: Any, where: str, lo: float = -math.inf) -> int:
+    """An integer of at least `lo`; a boolean is not an integer."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= lo):
+        raise ConfigError(f"{where} must be an integer of at least {lo:g}")
+    return value
+
+
+def _text(value: Any, where: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{where} must be a non-empty string")
+    return value
+
+
+def _list_of(item: _Check, *, size: int = 0, non_empty: bool = False) -> _Check:
+    """A check for a list, of exactly `size` entries if given, whose entries
+    each pass `item`; the config holds the checked entries as a tuple."""
+    wanted = (
+        f"a list of {size}" if size else "a non-empty list" if non_empty else "a list"
+    )
+
+    def check(value: Any, where: str) -> tuple:
+        if not (
+            isinstance(value, (list, tuple))
+            and (len(value) == size if size else bool(value) or not non_empty)
+        ):
+            raise ConfigError(f"{where} must be {wanted}")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+    return check
+
+
+_unit = partial(_number, lo=0.0, hi=1.0)
+_non_negative = partial(_number, lo=0.0)
+_count = partial(_integer, lo=0)
+_positive = partial(_integer, lo=1)
+
+
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean")
+    return value
+
+
+def _mode(value: Any, where: str) -> str:
+    if not (isinstance(value, str) and value in _MODES):
+        raise ConfigError(f"{where} must be one of {sorted(_MODES)}")
+    return value
+
+
+def _decay(value: Any, where: str) -> float:
+    if not _unit(value, where) > 0.0:
+        raise ConfigError(f"{where} must be in (0, 1]")
+    return float(value)
+
+
+def _latency(value: Any, where: str) -> tuple[float, float]:
+    """A [low, high] pair, or one number for both."""
+    if isinstance(value, (list, tuple)):
+        low, high = _list_of(_non_negative, size=2)(value, where)
+    else:
+        low = high = _non_negative(value, where)
+    if not low <= high:
+        raise ConfigError(f"{where} range must be ordered")
+    return (low, high)
+
+
+def _edges(value: Any, where: str) -> frozenset:
+    return frozenset(_list_of(_list_of(_text, size=2))(value, where))
+
+
+def _pool_row(row: Any, where: str) -> dict:
+    if not isinstance(row, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    clean: dict = {}
+    for key, value in row.items():
+        if not (isinstance(key, str) and key.isidentifier()):
+            raise ConfigError(f"{where} keys must be simple names")
+        if key == "requires":
+            tokens = [value] if isinstance(value, str) else value
+            clean[key] = _list_of(_text)(tokens, f"{where}.requires")
+        elif isinstance(value, (str, int)) and not isinstance(value, bool):
+            clean[key] = str(value)
+        else:
+            raise ConfigError(f"{where}.{key} must be a string or integer")
+    return clean
+
+
+def _term_row(row: Any, where: str) -> tuple[str, float, str]:
+    if not (
+        isinstance(row, (list, tuple)) and len(row) == 3 and row[2] in TERM_STATUSES
+    ):
+        raise ConfigError(f"{where} must be [term, validity, 'temporary'|'permanent']")
+    return (_text(row[0], f"{where}[0]"), _number(row[1], f"{where}[1]"), row[2])
+
+
+def _field(check: _Check, default: Any = MISSING) -> Any:
+    """A config field whose YAML value must pass `check`."""
+    return field(default=default, metadata={"check": check})
+
+
+@cache
+def _keys(cls: type) -> dict:
+    """The fields of config dataclass `cls` by YAML key."""
+    return {_YAML_KEYS.get(f.name, f.name): f for f in fields(cls)}
+
+
+def _build(cls: type, data: Any, where: str) -> Any:
+    """An instance of config dataclass `cls` from the YAML mapping `data`.
+
+    A field's key is its name or its `_YAML_KEYS` entry. A field left out,
+    or null where the default is None, takes its dataclass default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'scenario config'} must be a mapping")
+    suffix = f" in {where}" if where else ""
+    keys = _keys(cls)
+    unknown = data.keys() - keys.keys()
+    if unknown:
+        raise ConfigError(f"unknown field {min(unknown, key=str)!r}{suffix}")
+    values = {}
+    for key, f in keys.items():
+        if key not in data:
+            if f.default is MISSING:
+                raise ConfigError(f"missing field {key!r}{suffix}")
+        elif data[key] is not None or f.default is not None:
+            check = f.metadata["check"]
+            values[f.name] = check(data[key], f"{where}.{key}" if where else key)
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -114,64 +244,17 @@ class AgentSpec:
     episode, modeling an agent that joins a running swarm.
     """
 
-    id: str
-    skill: str
-    success: float = 0.5
-    boosted: float | None = None
-    cost: float = 0.0
-    latency: tuple[float, float] = (0.0, 0.0)
-    arrival: int = 0
+    id: str = _field(_text)
+    skill: str = _field(_text)
+    success: float = _field(_unit, 0.5)
+    boosted: float | None = _field(_unit, None)
+    cost: float = _field(_non_negative, 0.0)
+    latency: tuple[float, float] = _field(_latency, (0.0, 0.0))
+    arrival: int = _field(_count, 0)
 
     @classmethod
-    def from_mapping(cls, data: Any, index: int) -> "AgentSpec":
-        where = f"agents[{index}]"
-        _require(isinstance(data, dict), f"{where} must be a mapping")
-        _no_unknown(data, _AGENT_FIELDS, where)
-        _require(
-            isinstance(data.get("id"), str) and data["id"],
-            f"{where} needs a non-empty string 'id'",
-        )
-        _require(
-            isinstance(data.get("skill"), str) and data["skill"],
-            f"{where} needs a non-empty string 'skill'",
-        )
-        success = _probability(data.get("success", 0.5), f"{where}.success")
-        boosted = data.get("boosted")
-        if boosted is not None:
-            boosted = _probability(boosted, f"{where}.boosted")
-        cost = data.get("cost", 0.0)
-        _require(
-            isinstance(cost, (int, float)) and cost >= 0,
-            f"{where}.cost must be a non-negative number",
-        )
-        raw_latency = data.get("latency", 0.0)
-        if isinstance(raw_latency, (int, float)) and not isinstance(raw_latency, bool):
-            latency = (float(raw_latency), float(raw_latency))
-        elif (
-            isinstance(raw_latency, (list, tuple))
-            and len(raw_latency) == 2
-            and all(isinstance(x, (int, float)) for x in raw_latency)
-        ):
-            latency = (float(raw_latency[0]), float(raw_latency[1]))
-        else:
-            raise ConfigError(f"{where}.latency must be a number or a [low, high] pair")
-        _require(
-            0 <= latency[0] <= latency[1], f"{where}.latency range must be ordered"
-        )
-        arrival = data.get("arrival", 0)
-        _require(
-            isinstance(arrival, int) and not isinstance(arrival, bool) and arrival >= 0,
-            f"{where}.arrival must be a non-negative integer",
-        )
-        return cls(
-            id=data["id"],
-            skill=data["skill"],
-            success=success,
-            boosted=boosted,
-            cost=float(cost),
-            latency=latency,
-            arrival=arrival,
-        )
+    def from_mapping(cls, data: Any, where: str) -> "AgentSpec":
+        return _build(cls, data, where)
 
 
 @dataclass(frozen=True)
@@ -184,80 +267,29 @@ class FabricSettings:
     receivers.
     """
 
-    enabled: bool = True
-    mode: str = "sidecar"
-    epsilon: float = 0.1
-    epsilon_decay: float = 1.0
-    tau_valid: float = TAU_VALID
-    tau_soft: float = TAU_SOFT
-    tau_edge: float = 2.0
-    reward_weights: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    loss_lambda: float = DEFAULT_LAMBDA
-    token_budget: int = 64
-    retrieval_floor: float = 0.25
-    nodes: int = 1
+    enabled: bool = _field(_boolean, True)
+    mode: str = _field(_mode, "sidecar")
+    epsilon: float = _field(_unit, 0.1)
+    epsilon_decay: float = _field(_decay, 1.0)
+    tau_valid: float = _field(_unit, TAU_VALID)
+    tau_soft: float = _field(_unit, TAU_SOFT)
+    tau_edge: float = _field(_non_negative, DEFAULT_TAU_EDGE)
+    reward_weights: tuple[float, float, float] = _field(
+        _list_of(_number, size=3), (1.0, 0.0, 0.0)
+    )
+    loss_lambda: float = _field(_non_negative, DEFAULT_LAMBDA)
+    token_budget: int = _field(_count, DEFAULT_TOKEN_BUDGET)
+    retrieval_floor: float = _field(_unit, 0.25)
+    nodes: int = _field(_positive, 1)
 
     @classmethod
-    def from_mapping(cls, data: Any) -> "FabricSettings":
-        _require(isinstance(data, dict), "'fabric' must be a mapping")
-        _no_unknown(data, _FABRIC_FIELDS, "'fabric'")
-        enabled = data.get("enabled", True)
-        _require(isinstance(enabled, bool), "fabric.enabled must be a boolean")
-        mode = data.get("mode", "sidecar")
-        _require(mode in _MODES, f"fabric.mode must be one of {sorted(_MODES)}")
-        epsilon = _probability(data.get("epsilon", 0.1), "fabric.epsilon")
-        decay = data.get("epsilon_decay", 1.0)
+    def from_mapping(cls, data: Any, where: str = "fabric") -> "FabricSettings":
+        settings = _build(cls, data, where)
         _require(
-            isinstance(decay, (int, float)) and 0.0 < decay <= 1.0,
-            "fabric.epsilon_decay must be in (0, 1]",
+            settings.tau_soft <= settings.tau_valid,
+            f"{where}.tau_soft must not exceed tau_valid",
         )
-        tau_valid = _probability(data.get("tau_valid", TAU_VALID), "fabric.tau_valid")
-        tau_soft = _probability(data.get("tau_soft", TAU_SOFT), "fabric.tau_soft")
-        _require(tau_soft <= tau_valid, "fabric.tau_soft must not exceed tau_valid")
-        tau_edge = data.get("tau_edge", 2.0)
-        _require(
-            isinstance(tau_edge, (int, float)) and tau_edge >= 0,
-            "fabric.tau_edge must be a non-negative number",
-        )
-        weights = data.get("reward_weights", [1.0, 0.0, 0.0])
-        _require(
-            isinstance(weights, (list, tuple))
-            and len(weights) == 3
-            and all(isinstance(w, (int, float)) for w in weights),
-            "fabric.reward_weights must be three numbers",
-        )
-        lam = data.get("lambda", DEFAULT_LAMBDA)
-        _require(
-            isinstance(lam, (int, float)) and lam >= 0,
-            "fabric.lambda must be a non-negative number",
-        )
-        budget = data.get("token_budget", 64)
-        _require(
-            isinstance(budget, int) and not isinstance(budget, bool) and budget >= 0,
-            "fabric.token_budget must be a non-negative integer",
-        )
-        floor = _probability(
-            data.get("retrieval_floor", 0.25), "fabric.retrieval_floor"
-        )
-        nodes = data.get("nodes", 1)
-        _require(
-            isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 1,
-            "fabric.nodes must be a positive integer",
-        )
-        return cls(
-            enabled=enabled,
-            mode=mode,
-            epsilon=epsilon,
-            epsilon_decay=float(decay),
-            tau_valid=tau_valid,
-            tau_soft=tau_soft,
-            tau_edge=float(tau_edge),
-            reward_weights=tuple(float(w) for w in weights),
-            loss_lambda=float(lam),
-            token_budget=budget,
-            retrieval_floor=floor,
-            nodes=nodes,
-        )
+        return settings
 
 
 def _template_fields(template: str, where: str) -> set[str]:
@@ -265,16 +297,16 @@ def _template_fields(template: str, where: str) -> set[str]:
         parsed = list(Formatter().parse(template))
     except ValueError as err:
         raise ConfigError(f"{where} is not a valid template: {err}") from None
-    fields = set()
+    names = set()
     for _, name, _, _ in parsed:
         if name is None:
             continue
         _require(name.isidentifier(), f"{where} placeholders must be simple names")
-        fields.add(name)
-    return fields
+        names.add(name)
+    return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TaskSpec:
     """Task generator: templates rendered from rows of an entity pool.
 
@@ -287,189 +319,67 @@ class TaskSpec:
     there is no retry).
     """
 
-    sender: str = "user"
-    templates: tuple[str, ...] = ()
-    pool: tuple[dict, ...] = ()
-    clarify: str | None = None
-    memory: tuple[str, ...] = ()
-    ontology: tuple[tuple[str, float, str], ...] = ()
+    sender: str = _field(_text, "user")
+    templates: tuple[str, ...] = _field(_list_of(_text, non_empty=True))
+    pool: tuple[dict, ...] = _field(_list_of(_pool_row, non_empty=True), ({},))
+    clarify: str | None = _field(_text, None)
+    memory: tuple[str, ...] = _field(_list_of(_text), ())
+    ontology: tuple[tuple[str, float, str], ...] = _field(_list_of(_term_row), ())
 
     @classmethod
-    def from_mapping(cls, data: Any) -> "TaskSpec":
-        _require(isinstance(data, dict), "'tasks' must be a mapping")
-        _no_unknown(data, _TASK_FIELDS, "'tasks'")
-        sender = data.get("sender", "user")
-        _require(
-            isinstance(sender, str) and bool(sender),
-            "tasks.sender must be a non-empty string",
-        )
-        templates = data.get("templates")
-        _require(
-            isinstance(templates, (list, tuple))
-            and bool(templates)
-            and all(isinstance(t, str) and t for t in templates),
-            "tasks.templates must be a non-empty list of strings",
-        )
-        raw_pool = data.get("pool", [{}])
-        _require(
-            isinstance(raw_pool, (list, tuple)) and bool(raw_pool),
-            "tasks.pool must be a non-empty list of mappings",
-        )
-        pool = []
-        for i, row in enumerate(raw_pool):
-            _require(isinstance(row, dict), f"tasks.pool[{i}] must be a mapping")
-            clean: dict = {}
-            for key, value in row.items():
-                _require(
-                    isinstance(key, str) and key.isidentifier(),
-                    f"tasks.pool[{i}] keys must be simple names",
-                )
-                if key == "requires":
-                    if isinstance(value, str):
-                        value = [value]
-                    _require(
-                        isinstance(value, (list, tuple))
-                        and all(isinstance(v, str) and v for v in value),
-                        f"tasks.pool[{i}].requires must be a token or list of tokens",
-                    )
-                    clean[key] = tuple(value)
-                else:
-                    _require(
-                        isinstance(value, (str, int)) and not isinstance(value, bool),
-                        f"tasks.pool[{i}].{key} must be a string or integer",
-                    )
-                    clean[key] = str(value)
-            pool.append(clean)
-        clarify = data.get("clarify")
-        if clarify is not None:
-            _require(
-                isinstance(clarify, str) and bool(clarify),
-                "tasks.clarify must be a non-empty string",
-            )
-        templates_to_check = list(templates) + ([clarify] if clarify else [])
-        for t, template in enumerate(templates_to_check):
-            where = (
-                f"tasks.templates[{t}]" if t < len(templates) else "tasks.clarify"
-            )
-            needed = _template_fields(template, where)
-            for row_i, row in enumerate(pool):
-                missing = needed - (set(row) - {"requires"})
+    def from_mapping(cls, data: Any, where: str) -> "TaskSpec":
+        tasks = _build(cls, data, where)
+        named = [(f"{where}.templates[{i}]", t) for i, t in enumerate(tasks.templates)]
+        if tasks.clarify is not None:
+            named.append((f"{where}.clarify", tasks.clarify))
+        for name, template in named:
+            needed = _template_fields(template, name)
+            for i, row in enumerate(tasks.pool):
+                missing = needed - (row.keys() - {"requires"})
                 if missing:
                     raise ConfigError(
-                        f"tasks.pool[{row_i}] is missing placeholder "
-                        f"{sorted(missing)[0]!r} used by {where}"
+                        f"{where}.pool[{i}] is missing placeholder "
+                        f"{sorted(missing)[0]!r} used by {name}"
                     )
-        memory = data.get("memory", [])
-        _require(
-            isinstance(memory, (list, tuple))
-            and all(isinstance(m, str) and m for m in memory),
-            "tasks.memory must be a list of strings",
-        )
-        raw_terms = data.get("ontology", [])
-        _require(
-            isinstance(raw_terms, (list, tuple)),
-            "tasks.ontology must be a list of [term, validity, status] rows",
-        )
-        terms = []
-        for i, row in enumerate(raw_terms):
-            _require(
-                isinstance(row, (list, tuple))
-                and len(row) == 3
-                and isinstance(row[0], str)
-                and isinstance(row[1], (int, float))
-                and row[2] in TERM_STATUSES,
-                f"tasks.ontology[{i}] must be [term, validity, "
-                "'temporary'|'permanent']",
-            )
-            terms.append((row[0], float(row[1]), row[2]))
-        return cls(
-            sender=sender,
-            templates=tuple(templates),
-            pool=tuple(pool),
-            clarify=clarify,
-            memory=tuple(memory),
-            ontology=tuple(terms),
-        )
+        return tasks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    name: str
-    seed: int
-    episodes: int
-    agents: tuple[AgentSpec, ...]
-    edges: frozenset | None
-    fabric: FabricSettings
-    tasks: TaskSpec
+    name: str = _field(_text)
+    seed: int = _field(_integer)
+    episodes: int = _field(_positive)
+    agents: tuple[AgentSpec, ...] = _field(
+        _list_of(AgentSpec.from_mapping, non_empty=True)
+    )
+    edges: frozenset | None = _field(_edges, None)
+    fabric: FabricSettings = _field(FabricSettings.from_mapping)
+    tasks: TaskSpec = _field(TaskSpec.from_mapping)
 
     @classmethod
     def from_mapping(cls, data: Any) -> "ScenarioConfig":
         """Validate `data`; fields it leaves out come from the packaged file
         of the scenario it names, with `fabric` merged field by field."""
         _require(isinstance(data, dict), "scenario config must be a mapping")
-        _no_unknown(data, _TOP_FIELDS, "")
-        name = data.get("name")
-        _require(isinstance(name, str) and bool(name), "missing field 'name'")
+        name = _text(data.get("name"), "name")
         if name not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}"
             )
         base = _packaged(name)
-        seed = data.get("seed", base["seed"])
-        _require(
-            isinstance(seed, int) and not isinstance(seed, bool),
-            "'seed' must be an integer",
-        )
-        episodes = data.get("episodes", base["episodes"])
-        _require(
-            isinstance(episodes, int)
-            and not isinstance(episodes, bool)
-            and episodes > 0,
-            "'episodes' must be a positive integer",
-        )
-        raw_agents = data.get("agents", base["agents"])
-        _require(
-            isinstance(raw_agents, (list, tuple)) and bool(raw_agents),
-            "'agents' must be a non-empty list",
-        )
-        agents = tuple(AgentSpec.from_mapping(a, i) for i, a in enumerate(raw_agents))
-        ids = [a.id for a in agents]
+        fabric = data.get("fabric", {})
+        _require(isinstance(fabric, dict), "fabric must be a mapping")
+        merged = {**base, **data, "fabric": {**base.get("fabric", {}), **fabric}}
+        config = _build(cls, merged, "")
         seen: set = set()
-        for agent_id in ids:
-            if agent_id in seen:
-                raise ConfigError(f"duplicate agent id {agent_id!r}")
-            seen.add(agent_id)
+        for agent in config.agents:
+            _require(agent.id not in seen, f"duplicate agent id {agent.id!r}")
+            seen.add(agent.id)
         _require(
-            any(a.arrival == 0 for a in agents),
+            any(a.arrival == 0 for a in config.agents),
             "at least one agent must have 'arrival' 0, or episode 0 has no receiver",
         )
-        raw_edges = data.get("edges", base.get("edges"))
-        edges = None
-        if raw_edges is not None:
-            _require(
-                isinstance(raw_edges, (list, tuple))
-                and all(
-                    isinstance(e, (list, tuple))
-                    and len(e) == 2
-                    and all(isinstance(x, str) for x in e)
-                    for e in raw_edges
-                ),
-                "'edges' must be a list of [sender, receiver] pairs",
-            )
-            edges = frozenset((e[0], e[1]) for e in raw_edges)
-        raw_fabric = data.get("fabric", {})
-        _require(isinstance(raw_fabric, dict), "'fabric' must be a mapping")
-        fabric = FabricSettings.from_mapping({**base.get("fabric", {}), **raw_fabric})
-        tasks = TaskSpec.from_mapping(data.get("tasks", base["tasks"]))
-        return cls(
-            name=name,
-            seed=seed,
-            episodes=episodes,
-            agents=agents,
-            edges=edges,
-            fabric=fabric,
-            tasks=tasks,
-        )
+        return config
 
 
 def load_config(source: IO[str] | str) -> ScenarioConfig:
@@ -488,6 +398,7 @@ def load_config(source: IO[str] | str) -> ScenarioConfig:
 
 _VERDICT_KEYS = ("pass", "align", "reject")
 _INTERVENTION_KEYS = ("none", "block", "redact", "neutralize", "alert")
+_LATENCY_KEYS = ("l_net", "l_inference", "l_memory_lookup")
 _TAIL_WINDOW = 500
 
 
@@ -504,13 +415,19 @@ class MetricsReport:
     mean_reward: float = 0.0
     selection_shares: dict = field(default_factory=dict)
     regret_curve: list = field(default_factory=list)
-    verdict_counts: dict = field(default_factory=dict)
-    intervention_counts: dict = field(default_factory=dict)
+    verdict_counts: dict = field(
+        default_factory=lambda: dict.fromkeys(_VERDICT_KEYS, 0)
+    )
+    intervention_counts: dict = field(
+        default_factory=lambda: dict.fromkeys(_INTERVENTION_KEYS, 0)
+    )
     lexicon_hits: dict = field(default_factory=dict)
     loss_mean: float = 0.0
     latency_total: float = 0.0
     latency_mean: float = 0.0
-    latency_breakdown: dict = field(default_factory=dict)
+    latency_breakdown: dict = field(
+        default_factory=lambda: dict.fromkeys(_LATENCY_KEYS, 0.0)
+    )
     gossip_rounds: int | None = None
     messages_per_completed: float | None = None
     extras: dict = field(default_factory=dict)
@@ -520,28 +437,7 @@ class MetricsReport:
     def to_dict(self) -> dict:
         """Everything except per-episode records, which stay runtime-only."""
         return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "episodes": self.episodes,
-            "messages_total": self.messages_total,
-            "delivered": self.delivered,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "success_rate": self.success_rate,
-            "mean_reward": self.mean_reward,
-            "selection_shares": self.selection_shares,
-            "regret_curve": self.regret_curve,
-            "verdict_counts": self.verdict_counts,
-            "intervention_counts": self.intervention_counts,
-            "lexicon_hits": self.lexicon_hits,
-            "loss_mean": self.loss_mean,
-            "latency_total": self.latency_total,
-            "latency_mean": self.latency_mean,
-            "latency_breakdown": self.latency_breakdown,
-            "gossip_rounds": self.gossip_rounds,
-            "messages_per_completed": self.messages_per_completed,
-            "extras": self.extras,
-            "checks": self.checks,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"
         }
 
     def to_json(self) -> str:
@@ -585,70 +481,6 @@ class MetricsReport:
         for name, ok in sorted(self.checks.items()):
             lines.append(f"check {name:<22} {'PASS' if ok else 'FAIL'}")
         return lines
-
-
-class _Collector:
-    """Message-level counters shared by every scenario driver."""
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.delivered = 0
-        self.rejected = 0
-        self.verdicts = {k: 0 for k in _VERDICT_KEYS}
-        self.interventions = {k: 0 for k in _INTERVENTION_KEYS}
-        self.lexicon: dict = {}
-        self.l_net = 0.0
-        self.l_inference = 0.0
-        self.l_memory = 0.0
-        self.losses: list = []
-
-    def _count_lexicon(self, text: str) -> None:
-        for cls in lexicon_matches(text):
-            self.lexicon[cls] = self.lexicon.get(cls, 0) + 1
-
-    def observe(self, text: str, result: InterceptResult) -> None:
-        self.messages += 1
-        if result.delivered:
-            self.delivered += 1
-        else:
-            self.rejected += 1
-        if result.grounding is not None:
-            self.verdicts[result.grounding.verdict.value] += 1
-        security = result.security
-        if security is not None and security.intervention is not None:
-            self.interventions[security.intervention.value] += 1
-        else:
-            self.interventions["none"] += 1
-        self._count_lexicon(text)
-        self.l_net += result.latency.l_net
-        self.l_inference += result.latency.l_inference
-        self.l_memory += result.latency.l_memory_lookup
-
-    def observe_direct(self, text: str) -> None:
-        """A baseline delivery: one network hop, nothing else touched."""
-        self.messages += 1
-        self.delivered += 1
-        self.interventions["none"] += 1
-        self._count_lexicon(text)
-        self.l_net += 1.0
-
-    def fill(self, report: MetricsReport) -> None:
-        report.messages_total = self.messages
-        report.delivered = self.delivered
-        report.rejected = self.rejected
-        report.verdict_counts = dict(self.verdicts)
-        report.intervention_counts = dict(self.interventions)
-        report.lexicon_hits = dict(sorted(self.lexicon.items()))
-        total = self.l_net + self.l_inference + self.l_memory
-        report.latency_total = total
-        report.latency_mean = total / self.messages if self.messages else 0.0
-        report.latency_breakdown = {
-            "l_net": self.l_net,
-            "l_inference": self.l_inference,
-            "l_memory_lookup": self.l_memory,
-        }
-        if self.losses:
-            report.loss_mean = sum(self.losses) / len(self.losses)
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +530,17 @@ def _render(template: str, row: dict) -> str:
     return template.format(**{k: v for k, v in row.items() if k != "requires"})
 
 
-def _effective_p(spec: AgentSpec, requires: tuple, payload_text: str | None) -> float:
-    if (
-        spec.boosted is not None
-        and requires
+def _informed(requires: tuple, payload_text: str | None) -> bool:
+    """Whether every token a task requires reached the payload."""
+    return (
+        bool(requires)
         and payload_text is not None
         and all(token in payload_text for token in requires)
-    ):
-        return spec.boosted
-    return spec.success
+    )
+
+
+def _effective_p(spec: AgentSpec, informed: bool) -> float:
+    return spec.boosted if informed and spec.boosted is not None else spec.success
 
 
 def _ceiling_p(spec: AgentSpec) -> float:
@@ -718,15 +552,19 @@ def _tokens_added(result: InterceptResult) -> int:
 
 
 class _Run:
-    """One run's world: the node, its peers, the counters, one way to send."""
+    """One run's world: the node, its peers, the report, one way to send."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.embedder = HashingEmbedder()
         self.node = _build_node(config, self.embedder)
-        self.gossip_rounds = _sync_peers(config, self.node, self.embedder)
         self.outcome_rng = Random(config.seed + 1)
-        self.collector = _Collector()
+        self.report = MetricsReport(
+            scenario=config.name,
+            seed=config.seed,
+            episodes=config.episodes,
+            gossip_rounds=_sync_peers(config, self.node, self.embedder),
+        )
 
     def send(
         self,
@@ -738,19 +576,41 @@ class _Run:
     ) -> InterceptResult:
         """Deliver one hop: through the fabric, or directly when it is off.
 
-        A direct delivery hands the text over unmodified and unchecked; an
-        intent still goes through the router, as the fabric would route it.
+        A direct delivery hands the text over unmodified and unchecked, at
+        the cost of one network hop; an intent still goes through the router,
+        as the fabric would route it. Either way the hop is counted.
         """
         node = self.node
         if self.config.fabric.enabled:
             result = node.intercept(make_envelope(sender, text, to=to, intent=intent))
-            self.collector.observe(text, result)
-            return result
-        if to is None:
-            task = self.embedder.embed(intent)
-            to = node.router.dispatch(task, node.epsilon, node.rng)
-        self.collector.observe_direct(text)
-        return InterceptResult(delivered=True, receiver=to, text=text)
+        else:
+            if to is None:
+                task = self.embedder.embed(intent)
+                to = node.router.dispatch(task, node.epsilon, node.rng)
+            result = InterceptResult(
+                delivered=True, receiver=to, text=text, latency=LatencyTrace(l_net=1.0)
+            )
+        report = self.report
+        report.messages_total += 1
+        if result.delivered:
+            report.delivered += 1
+        else:
+            report.rejected += 1
+        if result.grounding is not None:
+            report.verdict_counts[result.grounding.verdict.value] += 1
+        security = result.security
+        if security is not None and security.intervention is not None:
+            report.intervention_counts[security.intervention.value] += 1
+        else:
+            report.intervention_counts["none"] += 1
+        lexicon = report.lexicon_hits
+        for cls in lexicon_matches(text):
+            lexicon[cls] = lexicon.get(cls, 0) + 1
+        latency = report.latency_breakdown
+        latency["l_net"] += result.latency.l_net
+        latency["l_inference"] += result.latency.l_inference
+        latency["l_memory_lookup"] += result.latency.l_memory_lookup
+        return result
 
 
 @dataclass(frozen=True)
@@ -795,16 +655,12 @@ class _Routed:
                 cost=spec.cost,
             )
         node.epsilon = fs.epsilon * fs.epsilon_decay**ep
-        requires = row.get("requires", ())
         result = run.send(config.tasks.sender, text, intent=text)
         receiver, payload_text = result.receiver, result.text
         spec = self.by_id[receiver] if receiver is not None else None
-        p_eff = _effective_p(spec, requires, payload_text) if result.delivered else 0.0
-        if (
-            requires
-            and payload_text is not None
-            and all(t in payload_text for t in requires)
-        ):
+        informed = _informed(row.get("requires", ()), payload_text)
+        p_eff = _effective_p(spec, informed) if result.delivered else 0.0
+        if informed:
             self.informed += 1
         success = u_outcome < p_eff
         reward = 0.0
@@ -898,11 +754,8 @@ class _Relay:
         probe = send(synthesizer, "status?", to=analyst)
         if not probe.delivered and probe.reason == "edge-not-allowed":
             self.edge_rejections += 1
-        p_eff = (
-            _effective_p(self.synthesizer, row.get("requires", ()), hop2.text)
-            if hop2.delivered
-            else 0.0
-        )
+        informed = _informed(row.get("requires", ()), hop2.text)
+        p_eff = _effective_p(self.synthesizer, informed) if hop2.delivered else 0.0
         success = u_outcome < p_eff
         return _Step(
             success=success,
@@ -958,44 +811,38 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     the messages and returns what happened; the loop keeps the books.
     """
     run = _Run(config)
+    report = run.report
     plan = SCENARIOS[config.name].plan(run)
     task_rng = Random(config.seed)
     pool, templates = config.tasks.pool, config.tasks.templates
     rewards: list = []
-    curve: list = []
-    records: list = []
+    losses: list = []
     regret = 0.0
-    completed = 0
     for ep in range(config.episodes):
         row = pool[task_rng.randrange(len(pool))]
         text = _render(templates[task_rng.randrange(len(templates))], row)
         step = plan.play(ep, row, text, run.outcome_rng.random())
         if step.success:
-            completed += 1
+            report.completed += 1
         regret += step.p_best - step.p_eff
-        curve.append(regret)
+        report.regret_curve.append(regret)
         rewards.append(step.reward)
-        run.collector.losses.append(
+        losses.append(
             compute_loss(step.reward, step.tokens_added, config.fabric.loss_lambda)
         )
         if step.learned_from is not None:
             terms = extract_entities(step.learned_from)
             if terms:
                 run.node.ontology.update([(terms, step.success)])
-        records.append({"episode": ep, "success": step.success, **step.record})
-    report = MetricsReport(
-        scenario=config.name, seed=config.seed, episodes=config.episodes
-    )
-    run.collector.fill(report)
-    report.completed = completed
-    report.success_rate = completed / config.episodes
+        report.records.append({"episode": ep, "success": step.success, **step.record})
+    report.success_rate = report.completed / config.episodes
     report.mean_reward = sum(rewards) / len(rewards)
-    report.regret_curve = curve
-    report.gossip_rounds = run.gossip_rounds
-    report.messages_per_completed = (
-        run.collector.messages / completed if completed else None
-    )
-    report.records = records
+    report.loss_mean = sum(losses) / len(losses)
+    # l_net + l_inference + l_memory_lookup, in that order
+    report.latency_total = sum(report.latency_breakdown.values())
+    report.latency_mean = report.latency_total / report.messages_total
+    if report.completed:
+        report.messages_per_completed = report.messages_total / report.completed
     plan.finish(report)
     return report
 

@@ -387,14 +387,13 @@ class SecurityEngine:
         self,
         text: str,
         sender_tags: frozenset[str] | set[str] = frozenset(),
-        requested_action: str | None = None,
     ) -> RuleOutcome:
         """Apply the constitution in (priority, id) order.
 
         Block matches short-circuit. Redact rules rewrite every match to the
         redaction marker and continue. An rbac rule blocks when its guarded
-        action is requested (explicitly, or visible as a whole token in the
-        text) by a sender missing the required tag.
+        action appears as a whole token in the text of a sender missing the
+        required tag.
         """
         triggered: list[str] = []
         out_text = text
@@ -416,14 +415,9 @@ class SecurityEngine:
                     out_text = new_text
             else:  # RBAC
                 assert rule.guarded_action is not None and rule.required_tag is not None
-                requested = requested_action == rule.guarded_action
-                if requested_action is None:
-                    requested = bool(
-                        re.search(
-                            _TOKEN_BOUNDARY.format(re.escape(rule.guarded_action)),
-                            out_text,
-                        )
-                    )
+                requested = re.search(
+                    _TOKEN_BOUNDARY.format(re.escape(rule.guarded_action)), out_text
+                )
                 if requested and rule.required_tag not in sender_tags:
                     triggered.append(rule.id)
                     return RuleOutcome(

@@ -490,6 +490,49 @@ def test_malformed_delta_of_any_kind_is_skipped_whole(kind, payload):
     assert result.delivered
 
 
+def _push_term_from_a_peer(n: FabricNode) -> None:
+    writer = node(node_id="writer")
+    writer.publish_term("Payment-Gateway", 0.9, "permanent")
+    writer.push_to(n)
+    assert n.version_vector["writer"] == 1
+    assert n.ontology.term("Payment-Gateway").validity == pytest.approx(0.9)
+
+
+_TERM = {"term": "Payment-Gateway", "validity": 0.5}
+
+
+@pytest.mark.parametrize(
+    "origin, counter",
+    [(7, 1), ("peer", "1"), ("peer", True)],
+    ids=["origin-not-text", "counter-text", "counter-bool"],
+)
+def test_delta_with_a_malformed_origin_or_counter_is_rejected(origin, counter):
+    n = node(node_id="n")
+    before = _full_state(n)
+    bad = PolicyDelta(origin=origin, counter=counter, clock=1, kind="ontology-term",
+                      payload=_TERM)
+    assert n.apply_delta(bad) is DeltaStatus.REJECTED
+    assert n.version_vector == {} and n.pending_count() == 0 and n._log == {}
+    assert _full_state(n) == before
+    _push_term_from_a_peer(n)
+
+
+@pytest.mark.parametrize(
+    "kind, clock",
+    [("mystery", 1), ("ontology-term", "late"), ("ontology-term", 1.5)],
+    ids=["kind-unknown", "clock-text", "clock-float"],
+)
+def test_delta_with_a_malformed_kind_or_clock_is_skipped_whole(kind, clock):
+    n = node(node_id="n")
+    before = _full_state(n)
+    bad = PolicyDelta(origin="peer", counter=1, clock=clock, kind=kind, payload=_TERM)
+    assert n.apply_delta(bad) is DeltaStatus.APPLIED
+    assert n.version_vector == {"peer": 1}
+    assert _full_state(n) == before
+    # a later write to the same term from another node still applies
+    _push_term_from_a_peer(n)
+
+
 def test_gossiped_rules_stay_ordered_by_priority_then_id():
     a, b = node(node_id="a"), node(node_id="b")
     for rule_id, priority in [("m", 50), ("c", 5), ("z", 50), ("a", 50), ("m", 1)]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,37 @@ def test_agents_override_replaces_the_default_roster():
 def test_lambda_key_maps_to_loss_weight():
     c = cfg("bandit-5arm", fabric={"lambda": 0.25})
     assert c.fabric.loss_lambda == 0.25
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"agents": [{"id": "a", "skill": "s", "cost": math.inf}]}, "cost"),
+        ({"agents": [{"id": "a", "skill": "s", "latency": [0, math.inf]}]}, "latency"),
+        ({"fabric": {"tau_edge": True}}, "tau_edge"),
+        ({"fabric": {"lambda": True}}, "lambda"),
+        ({"fabric": {"epsilon_decay": True}}, "epsilon_decay"),
+        ({"fabric": {"reward_weights": [1.0, math.nan, 0.0]}}, "reward_weights"),
+        (
+            {"tasks": {"templates": ["t"], "ontology": [["X", -math.inf, "permanent"]]}},
+            "ontology",
+        ),
+        ({"tasks": {"templates": ["t"], "ontology": [["", 0.5, "permanent"]]}}, "ontology"),
+    ],
+    ids=[
+        "cost-inf",
+        "latency-inf",
+        "tau_edge-bool",
+        "lambda-bool",
+        "epsilon_decay-bool",
+        "reward_weights-nan",
+        "validity-minus-inf",
+        "empty-term",
+    ],
+)
+def test_numbers_must_be_finite_and_not_booleans(overrides, name):
+    with pytest.raises(ConfigError, match=name):
+        cfg("entity-swarm", **overrides)
 
 
 # ---------------------------------------------------------------------------

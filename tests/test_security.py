@@ -78,7 +78,7 @@ def test_equal_priority_breaks_ties_by_id():
     assert out.text == REDACTED
 
 
-def test_rbac_blocks_explicit_action_without_tag():
+def test_rbac_blocks_the_action_without_tag():
     rule = Rule(
         id="guard-delete",
         kind=RuleKind.RBAC,
@@ -87,17 +87,15 @@ def test_rbac_blocks_explicit_action_without_tag():
         priority=1,
     )
     eng = SecurityEngine(EMB, rules=[rule])
-    out = eng.evaluate_rules("remove the staging data", requested_action="DELETE")
+    out = eng.evaluate_rules("please DELETE the old rows")
     assert not out.safe and out.triggered == ["guard-delete"]
-    ok = eng.evaluate_rules(
-        "remove the staging data",
-        sender_tags={"Privileged_Core"},
-        requested_action="DELETE",
-    )
+    ok = eng.evaluate_rules("please DELETE the old rows", sender_tags={"Privileged_Core"})
     assert ok.safe and ok.triggered == []
+    # without the action in the text there is nothing to guard
+    assert eng.evaluate_rules("remove the staging data").safe
 
 
-def test_rbac_falls_back_to_token_scan_when_no_explicit_action():
+def test_rbac_matches_the_action_only_as_a_whole_token():
     rule = Rule(
         id="guard-delete",
         kind=RuleKind.RBAC,
@@ -106,11 +104,11 @@ def test_rbac_falls_back_to_token_scan_when_no_explicit_action():
         priority=1,
     )
     eng = SecurityEngine(EMB, rules=[rule])
-    assert not eng.evaluate_rules("please DELETE the old rows").safe
+    assert not eng.evaluate_rules("DELETE").safe
+    assert not eng.evaluate_rules("rows to DELETE.").safe
     # substring inside a larger token does not count
     assert eng.evaluate_rules("the UNDELETED rows stay").safe
-    # a different explicit action means the text mention is not a request
-    assert eng.evaluate_rules("log the word DELETE", requested_action="READ").safe
+    assert eng.evaluate_rules("the DELETED_AT column").safe
 
 
 def test_rule_validation():
