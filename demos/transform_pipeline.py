@@ -20,7 +20,7 @@ memory = MemoryStore(emb)
 memory.add("Error check: Payment-Gateway returned 503 at 09:15.")
 memory.add("Customer claim record: SSN 123-45-6789 attached to claim forty.")
 
-t = Transformer(memory=memory, security=SecurityEngine(emb), retrieval_floor=0.25)
+t = Transformer(memory=memory, security=SecurityEngine(emb))
 
 print("plain text with no relevant memory is untouched:")
 result = t.transform("Please review the weekly plan.")

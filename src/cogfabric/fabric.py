@@ -57,6 +57,7 @@ from cogfabric.security import (
 )
 from cogfabric.topology import NoAgentsError, NoCapableAgentError, Router, UnknownAgentError
 from cogfabric.transform import (
+    DEFAULT_RETRIEVAL_FLOOR,
     DEFAULT_TOKEN_BUDGET,
     EdgePolicy,
     EdgePolicyStore,
@@ -66,6 +67,7 @@ from cogfabric.transform import (
 )
 
 DEFAULT_TAU_EDGE = 2.0
+DEFAULT_EPSILON = 0.1
 COMPLEXITY_TOKEN_SCALE = 64.0
 MAX_GOSSIP_TICKS = 256
 
@@ -245,12 +247,12 @@ class FabricNode:
         memory: MemoryStore | None = None,
         router: Router | None = None,
         allowed_edges: set[tuple[str, str]] | None = None,
-        epsilon: float = 0.1,
+        epsilon: float = DEFAULT_EPSILON,
         tau_edge: float = DEFAULT_TAU_EDGE,
         tau_valid: float = TAU_VALID,
         tau_soft: float = TAU_SOFT,
         token_budget: int = DEFAULT_TOKEN_BUDGET,
-        retrieval_floor: float = 0.25,
+        retrieval_floor: float = DEFAULT_RETRIEVAL_FLOOR,
         seed: int = 0,
     ):
         self.node_id = node_id

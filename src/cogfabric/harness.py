@@ -34,6 +34,7 @@ import yaml
 
 from cogfabric.core import AgentProfile, FabricError, HashingEmbedder, make_envelope
 from cogfabric.fabric import (
+    DEFAULT_EPSILON,
     DEFAULT_TAU_EDGE,
     DeploymentMode,
     FabricNode,
@@ -44,7 +45,12 @@ from cogfabric.fabric import (
 from cogfabric.grounding import TAU_SOFT, TAU_VALID, TERM_STATUSES, extract_entities
 from cogfabric.security import lexicon_matches
 from cogfabric.topology import RewardWeights, Router
-from cogfabric.transform import DEFAULT_LAMBDA, DEFAULT_TOKEN_BUDGET, compute_loss
+from cogfabric.transform import (
+    DEFAULT_LAMBDA,
+    DEFAULT_RETRIEVAL_FLOOR,
+    DEFAULT_TOKEN_BUDGET,
+    compute_loss,
+)
 
 
 class ConfigError(ValueError):
@@ -269,7 +275,7 @@ class FabricSettings:
 
     enabled: bool = _field(_boolean, True)
     mode: str = _field(_mode, "sidecar")
-    epsilon: float = _field(_unit, 0.1)
+    epsilon: float = _field(_unit, DEFAULT_EPSILON)
     epsilon_decay: float = _field(_decay, 1.0)
     tau_valid: float = _field(_unit, TAU_VALID)
     tau_soft: float = _field(_unit, TAU_SOFT)
@@ -279,7 +285,7 @@ class FabricSettings:
     )
     loss_lambda: float = _field(_non_negative, DEFAULT_LAMBDA)
     token_budget: int = _field(_count, DEFAULT_TOKEN_BUDGET)
-    retrieval_floor: float = _field(_unit, 0.25)
+    retrieval_floor: float = _field(_unit, DEFAULT_RETRIEVAL_FLOOR)
     nodes: int = _field(_positive, 1)
 
     @classmethod
@@ -379,6 +385,8 @@ class ScenarioConfig:
             any(a.arrival == 0 for a in config.agents),
             "at least one agent must have 'arrival' 0, or episode 0 has no receiver",
         )
+        least = SCENARIOS[name].min_agents
+        _require(len(config.agents) >= least, f"{name} needs at least {least} agents")
         return config
 
 
@@ -739,10 +747,8 @@ class _Relay:
     """
 
     def __init__(self, run: _Run) -> None:
-        agents = run.config.agents
-        _require(len(agents) >= 4, "hotpot-like needs at least four agents")
         self.run = run
-        self.researcher, self.analyst, _critic, self.synthesizer = agents[:4]
+        self.researcher, self.analyst, _critic, self.synthesizer = run.config.agents[:4]
         self.edge_rejections = 0
 
     def play(self, ep: int, row: dict, text: str, u_outcome: float) -> _Step:
@@ -781,6 +787,7 @@ class _Relay:
 class ScenarioSpec:
     plan: type[_Routed] | type[_Relay]
     description: str
+    min_agents: int = 1  # checked by ScenarioConfig.from_mapping
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -795,6 +802,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     "hotpot-like": ScenarioSpec(
         plan=_Relay,
         description="two-hop evidence hand-off over an enforced four-agent graph",
+        min_agents=4,
     ),
     "entity-swarm": ScenarioSpec(
         plan=_Routed,

@@ -23,7 +23,7 @@ from cogfabric.security import Intervention, SecurityDecision, SecurityEngine
 
 DEFAULT_TOKEN_BUDGET = 64
 DEFAULT_TOP_K = 3
-DEFAULT_RETRIEVAL_FLOOR = 0.1
+DEFAULT_RETRIEVAL_FLOOR = 0.25
 DEFAULT_LAMBDA = 0.01
 
 

@@ -6,8 +6,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cogfabric
+from cogfabric.fabric import DeploymentMode
 from cogfabric.harness import (
     SCENARIOS,
     AgentSpec,
@@ -89,6 +92,13 @@ def test_a_scenario_needs_an_agent_at_episode_zero():
     late = [{"id": "a", "skill": "s", "arrival": 3}]
     with pytest.raises(ConfigError, match="arrival"):
         cfg("expert-discovery", agents=late)
+
+
+def test_hotpot_needs_four_agents():
+    agents = [{"id": c, "skill": "s"} for c in "abc"]
+    with pytest.raises(ConfigError, match="hotpot-like needs at least 4 agents"):
+        cfg("hotpot-like", agents=agents)
+    assert len(cfg("hotpot-like", agents=[*agents, {"id": "d", "skill": "s"}]).agents) == 4
 
 
 def test_fabric_unknown_field_and_bad_mode():
@@ -177,6 +187,65 @@ def test_lambda_key_maps_to_loss_weight():
 def test_numbers_must_be_finite_and_not_booleans(overrides, name):
     with pytest.raises(ConfigError, match=name):
         cfg("entity-swarm", **overrides)
+
+
+_IDS = st.sampled_from("abcdef")
+_agent = st.fixed_dictionaries(
+    {"id": _IDS, "skill": st.sampled_from(["search the docs", "fix the db", "x"])},
+    optional={
+        "success": st.floats(0.0, 1.0),
+        "boosted": st.floats(0.0, 1.0),
+        "cost": st.floats(0.0, 3.0),
+        "latency": st.floats(0.0, 2.0),
+        "arrival": st.integers(0, 4),
+    },
+)
+_fabric = st.fixed_dictionaries(
+    {},
+    optional={
+        "enabled": st.booleans(),
+        "mode": st.sampled_from([m.value for m in DeploymentMode]),
+        "epsilon": st.floats(0.0, 1.0),
+        "tau_valid": st.floats(0.0, 1.0),
+        "tau_soft": st.floats(0.0, 1.0),
+        "token_budget": st.integers(0, 80),
+        "retrieval_floor": st.floats(0.0, 1.0),
+        "nodes": st.integers(1, 3),
+    },
+)
+_tasks = st.fixed_dictionaries(
+    {"templates": st.lists(st.sampled_from(["Check {area} now.", "Restart db-01."]), min_size=1)},
+    optional={
+        "pool": st.lists(
+            st.fixed_dictionaries({"area": st.sampled_from(["search", "Payment-Gateway"])}),
+            min_size=1,
+        ),
+        "memory": st.lists(st.sampled_from(["db-01 runs in eu", "search is slow"])),
+        "clarify": st.just("Which {area}?"),
+    },
+)
+_configs = st.fixed_dictionaries(
+    {"name": st.sampled_from(sorted(SCENARIOS)), "episodes": st.integers(1, 6)},
+    optional={
+        "seed": st.integers(0, 3),
+        "agents": st.lists(_agent, max_size=5),
+        "edges": st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=6),
+        "fabric": _fabric,
+        "tasks": _tasks,
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_configs)
+def test_every_accepted_config_runs_to_a_report(data):
+    try:
+        config = ScenarioConfig.from_mapping(data)
+    except ConfigError:
+        return
+    report = run_scenario(config)
+    assert report.episodes == config.episodes
+    json.loads(report.to_json())
 
 
 # ---------------------------------------------------------------------------

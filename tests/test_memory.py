@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogfabric import ann
 from cogfabric.ann import HnswIndex
 from cogfabric.core import DimensionMismatchError, HashingEmbedder, ZeroVectorError
 from cogfabric.memory import EntityStore, Manifest, MemoryStore
@@ -187,9 +191,122 @@ def test_hnsw_backed_store_same_interface() -> None:
     hits = store.retrieve(q, k=3)
     assert len(hits) == 3
     assert all(s > 0 for _, s in hits)
-    # pruning tombstones index entries too
+    # pruning removes index entries too
     store.prune(now=1.0)  # nothing has a ttl; no-op
     assert len(store) == 50
+
+
+def test_hnsw_graph_recall_against_exact() -> None:
+    # criterion 7(b)'s data, with the graph built from the first row on
+    g = np.random.default_rng(42)
+    dim = 32
+    vecs = g.normal(size=(1000, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    with mock.patch.object(ann, "GRAPH_ROWS", 0):
+        index = HnswIndex(dim, m=8, ef_construction=100, ef_search=80, seed=1)
+        for i in range(1000):
+            index.add(f"v{i:04d}", vecs[i])
+    hits = 0
+    for _ in range(100):
+        q = g.normal(size=dim)
+        q /= np.linalg.norm(q)
+        exact_ids = {f"v{i:04d}" for i in np.argsort(-(vecs @ q))[:5]}
+        hits += len(set(index.search(q, 5)) & exact_ids)
+    assert hits / 500 >= 0.9
+
+
+_POOL = 160  # ids v0..v159, all live at the start
+# long enough that dead slots come to outnumber live ones, which compacts
+_churn = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "remove"]), st.integers(0, _POOL - 1)),
+    min_size=150,
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("graph_rows", [ann.GRAPH_ROWS, 0], ids=["flat", "graph"])
+@settings(max_examples=25, deadline=None)
+@given(ops=_churn, seed=st.integers(0, 2**16))
+def test_hnsw_churn_keeps_ids_and_recall(graph_rows: int, ops: list, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    dim = 16
+
+    def unit() -> np.ndarray:
+        v = rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    live: dict[str, np.ndarray] = {}
+    with mock.patch.object(ann, "GRAPH_ROWS", graph_rows):
+        index = HnswIndex(dim, seed=seed)
+        # ids start live, then are removed and added again in any order
+        for i in range(_POOL):
+            live[f"v{i}"] = unit()
+            index.add(f"v{i}", live[f"v{i}"])
+        for kind, i in ops:
+            item = f"v{i}"
+            if kind == "remove":
+                index.remove(item)
+                live.pop(item, None)
+            elif item in live:
+                with pytest.raises(ValueError, match="duplicate index id"):
+                    index.add(item, unit())
+            else:
+                live[item] = unit()
+                index.add(item, live[item])
+            assert len(index) == len(live)
+    ids = list(live)
+    matrix = np.array([live[i] for i in ids]).reshape(len(ids), dim)
+    recalls = []
+    for _ in range(10):
+        q = unit()
+        for k in (5, len(ids) + 3):
+            got = index.search(q, k)
+            assert len(got) == len(set(got)) <= k
+            assert set(got) <= live.keys()
+        want = {ids[j] for j in np.argsort(-(matrix @ q))[:5]}
+        if want:
+            recalls.append(len(want & set(index.search(q, 5))) / len(want))
+    assert not recalls or np.mean(recalls) >= 0.9
+
+
+def test_hnsw_rejects_a_vector_of_the_wrong_shape() -> None:
+    index = HnswIndex(4)
+    for vec in (np.ones(1), np.float64(1.0), np.ones(5), np.ones((1, 4))):
+        with pytest.raises(ValueError, match="shape"):
+            index.add("a", vec)
+    assert len(index) == 0 and index.search(np.ones(4) / 2, 1) == []
+
+
+def test_hnsw_graph_survives_compaction_until_half_the_crossover() -> None:
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(60, 8))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    with mock.patch.object(ann, "GRAPH_ROWS", 40):
+        index = HnswIndex(8, seed=5)
+        for i in range(60):
+            index.add(f"v{i}", vecs[i])
+        # the 31st removal leaves 29 live of 60 slots and compacts; 29 is
+        # under the crossover but not under half of it, so the graph stays
+        for i in range(31):
+            index.remove(f"v{i}")
+        assert len(index._ids) == len(index) == 29 and index._links is not None
+        # 14 live of 29 slots compacts again, under half: back to the scan
+        for i in range(31, 46):
+            index.remove(f"v{i}")
+        assert len(index._ids) == len(index) == 14 and index._links is None
+        assert index.search(vecs[50], 1) == ["v50"]
+
+
+def test_pruned_record_id_can_be_stored_again_with_an_index() -> None:
+    emb = HashingEmbedder(dim=64)
+    store = MemoryStore(emb, index=HnswIndex(64, seed=3))
+    for i in range(20):
+        store.add(f"background note {i}", record_id=f"n{i}")
+    store.add("escalation goes through the duty manager", ttl=5.0, record_id="fact")
+    assert store.prune(now=10.0) == 1
+    store.add("escalation now goes through the on-call lead", created_at=10.0, record_id="fact")
+    hits = store.retrieve(emb.embed("escalation on-call lead"), k=3)
+    assert "fact" in [rec.id for rec, _ in hits]
 
 
 # ---------------------------------------------------------------------------
