@@ -208,6 +208,11 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: object) -> bool:
+    """A finite int or float; a boolean is not a number."""
+    return isinstance(value, _NUMBER) and not isinstance(value, bool) and abs(value) < math.inf
+
+
 def _well_formed(kind: str, payload: object) -> bool:
     """Whether a payload carries every field its kind needs, each of a usable
     type, so that applying it cannot fail halfway."""
@@ -216,13 +221,16 @@ def _well_formed(kind: str, payload: object) -> bool:
     types = _PAYLOAD_TYPES[kind]
     for name, value in payload.items():
         accepted = types.get(name)
-        if accepted is not None and not isinstance(value, accepted):
+        if accepted is _NUMBER:
+            if not _is_number(value):
+                return False
+        elif accepted is not None and not isinstance(value, accepted):
             return False
     if kind == "ontology-term":
         return payload.get("status", "temporary") in TERM_STATUSES
     if kind == "capability-state":
         for key, value in payload["mu_perf"].items():
-            if not (isinstance(key, str) and key.isdecimal() and isinstance(value, _NUMBER)):
+            if not (isinstance(key, str) and key.isdecimal() and _is_number(value)):
                 return False
     return True
 

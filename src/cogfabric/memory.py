@@ -4,15 +4,16 @@ The store is the fabric's working set for context injection. Retrieval ranks
 records by importance-weighted cosine, exactly: one matrix product over the
 stored vectors shortlists every record whose score may reach the top k, and
 only those are rescored with ``cosine_similarity`` and ordered by the
-tie-break rules, so results equal a full scalar scan bit for bit. A store
-holding no more than k (or ``SCAN_ROWS``) records skips the product and
-rescores them all.
+tie-break rules, so results equal a full scalar scan bit for bit. When no
+more than k (or ``SCAN_ROWS``) rows are to be ranked, the product is skipped
+and they are all rescored.
 
 An ``HnswIndex`` can be plugged in instead. Each query then over-fetches
-``max(4k, 64)`` candidates from it and rescores them the same way. The index
-ranks by cosine alone, so a record that reaches the top k only through its
-importance can be missed: on the memory-churn benchmark's store of about 500
-records, an over-fetch of 32 kept 0.89 of the exact top 5, and 64 keeps
+``max(4k, 64)`` candidates from it, and one product over just their rows
+shortlists them the same way, so a query rescores a few records, not 64. The
+index ranks by cosine alone, so a record that reaches the top k only through
+its importance can be missed: on the memory-churn benchmark's store of about
+500 records, an over-fetch of 32 kept 0.89 of the exact top 5, and 64 keeps
 0.98. Below ``ann.GRAPH_ROWS`` live rows the index answers by an exact scan
 of its own matrix, and from there on from an HNSW graph (``cogfabric.ann``
 says how that crossover was measured).
@@ -132,6 +133,9 @@ class MemoryStore:
             )
         if record.id in self._rows:
             raise ValueError(f"duplicate record id {record.id!r}")
+        ttl = 0.0 if record.ttl is None else record.ttl
+        if not all(map(math.isfinite, (record.created_at, ttl, record.importance))):
+            raise ValueError("created_at, ttl and importance must be finite")
         if record.importance < 0:
             raise ValueError("importance must be >= 0")
         row = len(self._slots)
@@ -176,17 +180,18 @@ class MemoryStore:
         if self._index is not None:
             # the index ranks by cosine alone, and importance lifts a score
             # up to (1 + importance) times, so fetch well past k
-            over = max(4 * k, 64)
-            cand_ids = self._index.search(query, over)
-            pool: Iterable[MemoryRecord] = (
-                self.get(i) for i in cand_ids if i in self._rows
-            )
-        elif len(self._rows) <= max(k, SCAN_ROWS):
-            pool = self.records()
+            found = self._index.search(query, max(4 * k, 64))
+            rows = np.array([self._rows[i] for i in found if i in self._rows], dtype=np.intp)
+            count = len(rows)
         else:
-            pool = (self._slots[row] for row in self._shortlist(query, k, floor))
+            rows, count = None, len(self._rows)  # every row
+        if count > max(k, SCAN_ROWS):
+            rows = self._shortlist(query, rows, k, floor)
+        elif rows is None:
+            rows = self._rows.values()
         scored = []
-        for rec in pool:
+        for row in rows:
+            rec = self._slots[row]
             if not rec.vector.any():
                 continue
             s = cosine_similarity(query, rec.vector) * (1.0 + rec.importance)
@@ -207,22 +212,35 @@ class MemoryStore:
             self._nonneg = self._nonneg and not (vecs < 0.0).any()
             self._folded = hi
 
-    def _shortlist(self, query: np.ndarray, k: int, floor: float) -> np.ndarray:
-        """Rows whose exact score may reach the top k, by one product per block."""
+    def _shortlist(
+        self, query: np.ndarray, rows: np.ndarray | None, k: int, floor: float
+    ) -> np.ndarray:
+        """Of ``rows`` (every row when None), those whose exact score may
+        reach the top k, by one product per row block they touch."""
         self._fold()
-        n = len(self._slots)
-        dots = np.empty(n)
-        for block, (vecs, _) in enumerate(self._blocks):
-            lo = block * _BLOCK_ROWS
-            np.dot(vecs[: min(_BLOCK_ROWS, n - lo)], query, out=dots[lo : lo + _BLOCK_ROWS])
+        if rows is None:
+            n = len(self._slots)
+            at: np.ndarray | slice = slice(n)
+            dots = np.empty(n)
+            for block, (vecs, _) in enumerate(self._blocks):
+                lo = block * _BLOCK_ROWS
+                np.dot(vecs[: min(_BLOCK_ROWS, n - lo)], query, out=dots[lo : lo + _BLOCK_ROWS])
+        else:
+            at = rows
+            dots = np.empty(len(rows))
+            blocks, offsets = np.divmod(rows, _BLOCK_ROWS)
+            for block in set(blocks.tolist()):
+                take = blocks == block
+                dots[take] = self._blocks[block][0][offsets[take]] @ query
         cos, band = matrix_cosines(
             dots,
-            self._inv_norms[:n],
+            self._inv_norms[at],
             1.0 / math.sqrt(query @ query),
             self._nonneg and not (query < 0.0).any(),
         )
-        weights = self._weights[:n]
-        return shortlist(cos * weights, band * np.abs(weights), k, floor)
+        weights = self._weights[at]
+        picked = shortlist(cos * weights, band * np.abs(weights), k, floor)
+        return picked if rows is None else rows[picked]
 
     def prune(self, now: float) -> int:
         """Drop every record whose created_at + ttl <= now. Returns the count."""

@@ -459,6 +459,15 @@ _GOOD_CAPABILITY = {"agent": "q", "mu_perf": {"0": 0.5}, "tau_lat": 0.2, "c_cost
         ("capability-state", {**_GOOD_CAPABILITY, "tick": "late"}),
         ("security-rule", {"id": "bad", "kind": "block", "pattern": "x", "priority": "high"}),
         ("security-rule", {"id": "bad", "kind": "block", "pattern": 7}),
+        ("ontology-term", {"term": "Payment-Gateway", "validity": math.nan}),
+        ("ontology-term", {"term": "Payment-Gateway", "validity": math.inf}),
+        ("ontology-term", {"term": "Payment-Gateway", "validity": True}),
+        ("edge-policy", {"sender": "s", "receiver": "r", "text": "steps", "version": -math.inf}),
+        ("capability-state", {**_GOOD_CAPABILITY, "mu_perf": {"0": math.nan}}),
+        ("capability-state", {**_GOOD_CAPABILITY, "mu_perf": {"0": False}}),
+        ("capability-state", {**_GOOD_CAPABILITY, "tau_lat": math.inf}),
+        ("capability-state", {**_GOOD_CAPABILITY, "tick": True}),
+        ("security-rule", {"id": "bad", "kind": "block", "pattern": "x", "priority": math.nan}),
     ],
     ids=[
         "term-without-term",
@@ -471,6 +480,15 @@ _GOOD_CAPABILITY = {"agent": "q", "mu_perf": {"0": 0.5}, "tau_lat": 0.2, "c_cost
         "capability-text-tick",
         "rule-text-priority",
         "rule-number-pattern",
+        "term-nan-validity",
+        "term-inf-validity",
+        "term-bool-validity",
+        "policy-minus-inf-version",
+        "capability-nan-mu-perf",
+        "capability-bool-mu-perf",
+        "capability-inf-latency",
+        "capability-bool-tick",
+        "rule-nan-priority",
     ],
 )
 def test_malformed_delta_of_any_kind_is_skipped_whole(kind, payload):

@@ -142,6 +142,30 @@ def test_duplicate_id_rejected() -> None:
         store.add("y", record_id="r1")
 
 
+@pytest.mark.parametrize("with_index", [False, True], ids=["exact", "indexed"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("importance", float("nan")),
+        ("importance", float("inf")),
+        ("ttl", float("nan")),
+        ("ttl", float("inf")),
+        ("created_at", float("nan")),
+        ("created_at", float("-inf")),
+    ],
+)
+def test_non_finite_number_is_refused_before_storing(field, value, with_index) -> None:
+    store = MemoryStore(EMB, HnswIndex(EMB.dim) if with_index else None)
+    store.add("Payment-Gateway returned 503", record_id="kept")
+    with pytest.raises(ValueError, match="finite"):
+        store.add("Payment-Gateway returned 503", record_id="bad", **{field: value})
+    assert len(store) == 1 and store.get("bad") is None
+    assert [rec.id for rec, _ in store.retrieve(EMB.embed("Payment-Gateway"), k=5)] == ["kept"]
+    # nothing of the refused record is left behind, so its id is free
+    store.add("Payment-Gateway returned 200", record_id="bad")
+    assert len(store) == 2
+
+
 def test_prune_ttl_boundary_inclusive() -> None:
     store = MemoryStore(EMB)
     store.add("expires", created_at=10.0, ttl=5.0, record_id="gone")

@@ -10,12 +10,15 @@ to ten words, so exact ties, duplicate texts and zero vectors are common.
 from __future__ import annotations
 
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogfabric import ann
+from cogfabric.ann import HnswIndex
 from cogfabric.core import SCAN_ROWS, AgentProfile, HashingEmbedder
 from cogfabric.fabric import FabricNode, run_gossip
 from cogfabric.grounding import Ontology
@@ -162,9 +165,12 @@ def name_of(draw, words: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def memory_case(draw):
+def memory_case(draw, indexed: bool = False):
+    """A store built by random adds, stores and prunes, the ledger of what it
+    holds, and a retrieve to ask it; ``indexed`` plugs in an ``HnswIndex``."""
     words = draw(vocab())
-    store = MemoryStore(EMB)
+    index = HnswIndex(EMB.dim, ef_construction=16) if indexed else None  # builds fast
+    store = MemoryStore(EMB, index)
     ledger: dict[str, tuple[np.ndarray, float, float]] = {}
     meta: dict[str, tuple[float, float | None]] = {}
     for step in range(draw(st.integers(0, 40))):
@@ -218,6 +224,33 @@ def test_retrieve_equals_the_scalar_scan(case):
     assert len(store) == len(ledger)
     for rid, (vec, _, _) in ledger.items():
         assert np.array_equal(store.get(rid).vector, vec)
+
+
+@pytest.mark.parametrize("graph_rows", [ann.GRAPH_ROWS, 0], ids=["flat", "graph"])
+def test_indexed_retrieve_equals_the_index_candidates_rescored(graph_rows):
+    @SETTINGS
+    @given(memory_case(indexed=True))
+    def check(case):
+        store, ledger, query, k, floor = case
+        found = store._index.search(query, max(4 * k, 64))
+        want = ref_retrieve({rid: ledger[rid] for rid in found}, query, k, floor)
+        assert [(rec.id, s) for rec, s in store.retrieve(query, k, floor)] == want
+
+    with mock.patch.object(ann, "GRAPH_ROWS", graph_rows):
+        check()
+
+
+def test_rows_added_after_a_fold_are_found_through_an_index():
+    store = MemoryStore(EMB, HnswIndex(EMB.dim))
+    for i in range(2 * SCAN_ROWS):
+        store.add(f"alpha beta filler {i}")
+    query = EMB.embed("alpha beta gamma delta")
+    # a retrieve or a prune takes the norms of every row so far
+    store.retrieve(query, k=1)
+    assert store.prune(now=0.0) == 0
+    late = [store.add("alpha beta gamma delta", created_at=1.0) for _ in range(2)]
+    got = [rec for rec, _ in store.retrieve(query, k=2)]
+    assert sorted(rec.id for rec in got) == sorted(rec.id for rec in late)
 
 
 def test_identical_content_gets_identical_scores():
