@@ -20,6 +20,7 @@ from cogfabric.core import (
     HashingEmbedder,
     Intent,
     Payload,
+    TextAnalysis,
     ZeroVectorError,
     cosine_similarity,
     make_envelope,
@@ -106,6 +107,7 @@ __all__ = [
     "ScenarioConfig",
     "SecurityEngine",
     "SecurityVerdict",
+    "TextAnalysis",
     "TransformResult",
     "Transformer",
     "Verdict",

@@ -107,7 +107,9 @@ class HashingEmbedder:
         vec = np.zeros(self.dim, dtype=np.float64)
         for tok in tokens:
             vec[_token_hash(tok) % self.dim] += 1.0
-        norm = float(np.linalg.norm(vec))
+        # whole counts: the self-dot is exact in any order, so this is the
+        # norm np.linalg.norm takes, without its per-call overhead
+        norm = math.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec /= norm
         return vec
@@ -119,6 +121,48 @@ class HashingEmbedder:
     def embed_name(self, name: str) -> np.ndarray:
         """Embed an identifier-like name using its sub-token decomposition."""
         return self._accumulate(name_parts(name))
+
+
+class TextAnalysis:
+    """What the stages of one message read from one text, each worked out
+    at most once and only when first asked for.
+
+    ``vector`` is ``embedder.embed(text)``. ``read(fn)`` is ``fn(text)`` for
+    a pure function of the text, such as ``extract_entities`` or
+    ``lexicon_matches``, kept after its first call. An analysis lives for one
+    message; nothing is shared across messages.
+    """
+
+    __slots__ = ("text", "embedder", "_vector", "_reads")
+
+    def __init__(self, text: str, embedder: HashingEmbedder):
+        self.text = text
+        self.embedder = embedder
+        self._vector: np.ndarray | None = None
+        self._reads: dict = {}
+
+    @property
+    def vector(self) -> np.ndarray:
+        if self._vector is None:
+            self._vector = self.embedder.embed(self.text)
+        return self._vector
+
+    def read(self, fn):
+        reads = self._reads
+        if fn not in reads:
+            reads[fn] = fn(self.text)
+        return reads[fn]
+
+
+def analysis_of(
+    text: str, embedder: HashingEmbedder, analysis: TextAnalysis | None = None
+) -> TextAnalysis:
+    """``analysis`` when it analysed ``text`` with ``embedder``, else a new,
+    empty analysis of ``text``. A stage that rewrote its text thus reads the
+    new text afresh, and one that did not reuses its caller's reads."""
+    if analysis is not None and analysis.embedder is embedder and analysis.text == text:
+        return analysis
+    return TextAnalysis(text, embedder)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

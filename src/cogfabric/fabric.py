@@ -33,7 +33,9 @@ from cogfabric.core import (
     HashingEmbedder,
     Intent,
     Payload,
+    TextAnalysis,
     ZeroVectorError,
+    analysis_of,
 )
 from cogfabric.grounding import (
     TAU_SOFT,
@@ -109,16 +111,22 @@ class ComplexityScore:
     value: float
 
 
-def complexity_score(text: str, ontology: Ontology) -> ComplexityScore:
+def complexity_score(
+    text: str, ontology: Ontology, analysis: TextAnalysis | None = None
+) -> ComplexityScore:
     """C = tokens/64 + ungrounded entities + risk-lexicon classes.
 
     Ungrounded means the extracted entity is not an exact ontology term, so
-    messages full of unfamiliar names rank as hard even when short.
+    messages full of unfamiliar names rank as hard even when short. The
+    entities and lexicon hits come from the caller's ``analysis`` when it is
+    of ``text`` under the ontology's embedder, so grounding and the security
+    stage reuse what this reads.
     """
+    analysis = analysis_of(text, ontology.embedder, analysis)
     tokens = len(text.split())
-    entities = extract_entities(text)
+    entities = analysis.read(extract_entities)
     ungrounded = sum(1 for e in entities if not ontology.has_term(e))
-    classes = len(lexicon_matches(text))
+    classes = len(analysis.read(lexicon_matches))
     value = tokens / COMPLEXITY_TOKEN_SCALE + ungrounded + classes
     return ComplexityScore(
         tokens=tokens,
@@ -311,9 +319,21 @@ class FabricNode:
         return RouteDecision.FORWARD_TO_CORE
 
     def intercept(
-        self, envelope: Envelope, *, among: list[str] | None = None
+        self,
+        envelope: Envelope,
+        *,
+        among: list[str] | None = None,
+        analysis: TextAnalysis | None = None,
     ) -> InterceptResult:
-        """Process one message end to end. Never raises on gated traffic."""
+        """Process one message end to end. Never raises on gated traffic.
+
+        The envelope text is analysed once, lazily, and every stage that
+        reads that text shares the analysis. A caller that passes its own
+        ``analysis`` of the envelope text under this node's embedder finds in
+        it afterwards what the stages read (the vector, the entities, the
+        lexicon hits), so it need not work them out again.
+        """
+        analysis = analysis_of(envelope.text, self.embedder, analysis)
         result = InterceptResult(
             delivered=False, receiver=None, latency=LatencyTrace(l_net=self._base_net())
         )
@@ -322,7 +342,7 @@ class FabricNode:
             result.receiver = addressing.receiver
         else:
             assert isinstance(addressing, Intent)
-            task = self.embedder.embed(addressing.description)
+            task = analysis_of(addressing.description, self.embedder, analysis).vector
             try:
                 result.receiver = self.router.dispatch(
                     task, self.epsilon, self.rng, among=among
@@ -335,12 +355,14 @@ class FabricNode:
             ) as err:
                 result.reason = f"no-route: {err}"
                 return result
-        self._run_stages(envelope, result)
+        self._run_stages(envelope, result, analysis)
         if not result.delivered and isinstance(addressing, Intent):
             self.router.release(result.receiver)  # gated after dispatch
         return result
 
-    def _run_stages(self, envelope: Envelope, result: InterceptResult) -> None:
+    def _run_stages(
+        self, envelope: Envelope, result: InterceptResult, analysis: TextAnalysis
+    ) -> None:
         """Edge check, hybrid-edge split, ground, ghost, transform, deliver.
 
         Each stage fills in its part of ``result``; a stage that stops the
@@ -353,7 +375,7 @@ class FabricNode:
             return
 
         if self.mode is DeploymentMode.HYBRID_EDGE:
-            result.complexity = complexity_score(envelope.text, self.ontology)
+            result.complexity = complexity_score(envelope.text, self.ontology, analysis)
             result.route = self.route_by_complexity(result.complexity.value)
             if result.route is RouteDecision.LOCAL:
                 # rules-only fast path: no retrieval, no grounding, no translation
@@ -374,6 +396,7 @@ class FabricNode:
             entity_store=self.entity_store,
             tau_valid=self.tau_valid,
             tau_soft=self.tau_soft,
+            analysis=analysis,
         )
         latency.l_inference += 1.0
         if decision.verdict is Verdict.REJECT:
@@ -398,6 +421,7 @@ class FabricNode:
                 sender_tags=self._tags_of(envelope.sender),
                 grounding=decision,
                 schema_map=schema or None,
+                analysis=analysis,
             )
         except TransformHaltedError as err:
             result.reason = err.reason

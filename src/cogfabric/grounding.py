@@ -20,7 +20,9 @@ from cogfabric.core import (
     SCAN_ROWS,
     FabricError,
     HashingEmbedder,
+    TextAnalysis,
     VectorTable,
+    analysis_of,
     cosine_similarity,
     shortlist,
 )
@@ -56,18 +58,10 @@ class Verdict(str, Enum):
 
 _QUOTED_RE = re.compile(r"([\"'])([A-Za-z0-9_.\- ]{1,40})\1")
 _WORD_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-_CAP_SNAKE_RE = re.compile(r"^[A-Z][a-z0-9]*(?:_[A-Z][a-z0-9]*)+$")
-_INTERIOR_SEP_RE = re.compile(r"[A-Za-z0-9][.\-][A-Za-z0-9]")
-
-
-def _looks_like_entity(token: str) -> bool:
-    if any(ch.isdigit() for ch in token):
-        return True
-    if "_" in token:
-        return True
-    if _INTERIOR_SEP_RE.search(token):
-        return True
-    return bool(_CAP_SNAKE_RE.match(token))
+# whether a _WORD_RE token carries identifier structure: a digit, an
+# underscore, or a dot or hyphen between alphanumerics (tokens are ASCII, so
+# [0-9] is exactly str.isdigit)
+_looks_like_entity = re.compile(r"[0-9_]|[A-Za-z0-9][.\-][A-Za-z0-9]").search
 
 
 def extract_entities(text: str) -> list[str]:
@@ -416,14 +410,18 @@ def ground(
     entity_store=None,
     tau_valid: float = TAU_VALID,
     tau_soft: float = TAU_SOFT,
+    analysis: TextAnalysis | None = None,
 ) -> GroundingDecision:
     """Extract, score, and gate in one step.
 
     A message that would Pass but contradicts tracked entity state is
     downgraded to Align, with the fabric's view appended to the corrected
-    text so the receiver sees both claims.
+    text so the receiver sees both claims. When the caller's ``analysis`` is
+    of ``text`` under the ontology's embedder, its entities are reused and
+    extracted there if no earlier stage has; otherwise they are extracted
+    from ``text``.
     """
-    entities = extract_entities(text)
+    entities = analysis_of(text, ontology.embedder, analysis).read(extract_entities)
     g, details = ontology.score(entities)
     verdict = gate(g, tau_valid, tau_soft)
     conflicts = (

@@ -32,7 +32,14 @@ from typing import IO, Any
 
 import yaml
 
-from cogfabric.core import AgentProfile, FabricError, HashingEmbedder, make_envelope
+from cogfabric.core import (
+    AgentProfile,
+    FabricError,
+    HashingEmbedder,
+    TextAnalysis,
+    analysis_of,
+    make_envelope,
+)
 from cogfabric.fabric import (
     DEFAULT_EPSILON,
     DEFAULT_TAU_EDGE,
@@ -581,19 +588,24 @@ class _Run:
         *,
         to: str | None = None,
         intent: str | None = None,
+        analysis: TextAnalysis | None = None,
     ) -> InterceptResult:
         """Deliver one hop: through the fabric, or directly when it is off.
 
         A direct delivery hands the text over unmodified and unchecked, at
         the cost of one network hop; an intent still goes through the router,
-        as the fabric would route it. Either way the hop is counted.
+        as the fabric would route it. Either way the hop is counted. A
+        caller's ``analysis`` of ``text`` holds afterwards what the hop read.
         """
         node = self.node
+        analysis = analysis_of(text, self.embedder, analysis)
         if self.config.fabric.enabled:
-            result = node.intercept(make_envelope(sender, text, to=to, intent=intent))
+            result = node.intercept(
+                make_envelope(sender, text, to=to, intent=intent), analysis=analysis
+            )
         else:
             if to is None:
-                task = self.embedder.embed(intent)
+                task = analysis_of(intent, self.embedder, analysis).vector
                 to = node.router.dispatch(task, node.epsilon, node.rng)
             result = InterceptResult(
                 delivered=True, receiver=to, text=text, latency=LatencyTrace(l_net=1.0)
@@ -612,7 +624,7 @@ class _Run:
         else:
             report.intervention_counts["none"] += 1
         lexicon = report.lexicon_hits
-        for cls in lexicon_matches(text):
+        for cls in analysis.read(lexicon_matches):
             lexicon[cls] = lexicon.get(cls, 0) + 1
         latency = report.latency_breakdown
         latency["l_net"] += result.latency.l_net
@@ -630,7 +642,7 @@ class _Step:
     p_best: float  # the best probability on offer this episode, for regret
     reward: float
     tokens_added: int
-    learned_from: str | None  # text whose entities update the ontology
+    learned_from: TextAnalysis | None  # of the text whose entities update the ontology
     record: dict  # the episode record's fields besides episode and success
 
 
@@ -663,7 +675,8 @@ class _Routed:
                 cost=spec.cost,
             )
         node.epsilon = fs.epsilon * fs.epsilon_decay**ep
-        result = run.send(config.tasks.sender, text, intent=text)
+        sent = TextAnalysis(text, run.embedder)
+        result = run.send(config.tasks.sender, text, intent=text, analysis=sent)
         receiver, payload_text = result.receiver, result.text
         spec = self.by_id[receiver] if receiver is not None else None
         informed = _informed(row.get("requires", ()), payload_text)
@@ -677,7 +690,7 @@ class _Routed:
             agent_latency = run.outcome_rng.uniform(lo, hi) if hi > lo else lo
             reward, _ = node.router.record_outcome(
                 receiver,
-                run.embedder.embed(text),
+                sent.vector,  # the text, sent as the intent
                 success=success,
                 cost=spec.cost,
                 latency=agent_latency,
@@ -695,7 +708,11 @@ class _Routed:
             p_best=max(_ceiling_p(a) for a in config.agents if a.arrival <= ep),
             reward=reward,
             tokens_added=_tokens_added(result),
-            learned_from=payload_text,
+            learned_from=(
+                analysis_of(payload_text, run.embedder, sent)
+                if payload_text is not None
+                else None
+            ),
             record={"agent": receiver, "reward": reward},
         )
 
@@ -756,7 +773,8 @@ class _Relay:
         researcher, analyst = self.researcher.id, self.analyst.id
         synthesizer = self.synthesizer.id
         send(researcher, text, to=analyst)
-        hop2 = send(analyst, text, to=synthesizer)
+        relayed = TextAnalysis(text, self.run.embedder)
+        hop2 = send(analyst, text, to=synthesizer, analysis=relayed)
         probe = send(synthesizer, "status?", to=analyst)
         if not probe.delivered and probe.reason == "edge-not-allowed":
             self.edge_rejections += 1
@@ -769,7 +787,7 @@ class _Relay:
             p_best=_ceiling_p(self.synthesizer),
             reward=1.0 if success else 0.0,
             tokens_added=_tokens_added(hop2),
-            learned_from=text,
+            learned_from=relayed,
             record={"question": row.get("artifact")},
         )
 
@@ -839,7 +857,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
             compute_loss(step.reward, step.tokens_added, config.fabric.loss_lambda)
         )
         if step.learned_from is not None:
-            terms = extract_entities(step.learned_from)
+            terms = step.learned_from.read(extract_entities)
             if terms:
                 run.node.ontology.update([(terms, step.success)])
         report.records.append({"episode": ep, "success": step.success, **step.record})

@@ -126,7 +126,7 @@ class MemoryStore:
     def store(self, record: MemoryRecord) -> str:
         """Store a pre-built record: copy its vector into the next free row,
         which its ``vector`` becomes a read-only view of, and index it. The
-        vector must match the store dimension."""
+        vector must match the store dimension and be finite."""
         if len(record.vector) != self.embedder.dim:
             raise DimensionMismatchError(
                 f"record vector has dim {len(record.vector)}, store uses {self.embedder.dim}"
@@ -136,6 +136,13 @@ class MemoryStore:
         ttl = 0.0 if record.ttl is None else record.ttl
         if not all(map(math.isfinite, (record.created_at, ttl, record.importance))):
             raise ValueError("created_at, ttl and importance must be finite")
+        # a NaN or infinite component would keep the record out of every
+        # retrieve. A finite squared norm rules both out in a third of the
+        # time a test of each component takes; only an overflowing norm
+        # needs that test.
+        squared = np.dot(record.vector, record.vector)
+        if not math.isfinite(squared) and not np.isfinite(record.vector).all():
+            raise ValueError("every vector component must be finite")
         if record.importance < 0:
             raise ValueError("importance must be >= 0")
         row = len(self._slots)

@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cogfabric.core import DimensionMismatchError, FabricError, HashingEmbedder
+from cogfabric.core import (
+    DimensionMismatchError,
+    FabricError,
+    HashingEmbedder,
+    TextAnalysis,
+    analysis_of,
+)
 
 REDACTED = "<REDACTED>"
 
@@ -197,7 +203,9 @@ class AttackScorer:
             raise DimensionMismatchError(
                 f"embedding dim {embedding.shape} != scorer dim {self.weights.shape}"
             )
-        return float(_sigmoid(float(np.dot(self.weights, embedding)) + self.bias))
+        # one scalar: clamp as _sigmoid does, without its array round trip
+        z = min(max(float(np.dot(self.weights, embedding)) + self.bias, -500.0), 500.0)
+        return float(1.0 / (1.0 + np.exp(-z)))
 
 
 def default_scorer(dim: int) -> AttackScorer:
@@ -440,10 +448,17 @@ class SecurityEngine:
 
     # -- layer 2 + 3 helpers ----------------------------------------------------
 
-    def message_risk(self, text: str) -> tuple[float, float]:
-        """(attack probability, total per-message risk) for one text."""
-        p = self.scorer.probability(self.embedder.embed(text))
-        return p, p + risk_increment(text)
+    def message_risk(
+        self, text: str, analysis: TextAnalysis | None = None
+    ) -> tuple[float, float]:
+        """(attack probability, total per-message risk) for one text.
+
+        Reuses the vector and lexicon hits of the caller's ``analysis`` when
+        it is of ``text`` under this engine's embedder.
+        """
+        analysis = analysis_of(text, self.embedder, analysis)
+        p = self.scorer.probability(analysis.vector)
+        return p, p + sum(LEXICON[name][1] for name in analysis.read(lexicon_matches))
 
     def trajectory_risk(self, sender: str, current_risk: float) -> float:
         """Decay-weighted sum over the sender's window plus the current message."""
@@ -467,13 +482,18 @@ class SecurityEngine:
         text: str,
         sender: str,
         sender_tags: frozenset[str] | set[str] = frozenset(),
+        *,
+        analysis: TextAnalysis | None = None,
     ) -> SecurityDecision:
         """Run all three layers and compose by OR.
 
         The returned text carries redactions and, when the scorer trips, the
         neutralization rewrite. With trajectory disabled this is a pure
         function of its arguments; enabled, each call folds the message into
-        the sender's window.
+        the sender's window. The scorer and the lexicon read the text the
+        rules leave; when that equals the text of the caller's ``analysis``
+        (nothing was redacted), they reuse its vector and lexicon hits, and
+        otherwise they analyse the new text.
         """
         if sender in self.suspended_senders:
             return SecurityDecision(
@@ -486,11 +506,11 @@ class SecurityEngine:
         outcome = self.evaluate_rules(text, sender_tags)
         if not outcome.safe:
             if self.trajectory_enabled:
-                p, msg_risk = self.message_risk(text)
+                p, msg_risk = self.message_risk(text, analysis)
                 self._push_window(sender, msg_risk)
             return outcome.decision()
 
-        p, msg_risk = self.message_risk(outcome.text)
+        p, msg_risk = self.message_risk(outcome.text, analysis)
         trajectory = (
             self.trajectory_risk(sender, msg_risk) if self.trajectory_enabled else msg_risk
         )

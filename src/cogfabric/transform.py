@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from cogfabric.core import FabricError
+from cogfabric.core import FabricError, TextAnalysis, analysis_of
 from cogfabric.grounding import GroundingDecision, Verdict, translate
 from cogfabric.memory import MemoryStore
 from cogfabric.security import Intervention, SecurityDecision, SecurityEngine
@@ -142,6 +142,7 @@ class Transformer:
         sender_tags: frozenset[str] | set[str] = frozenset(),
         grounding: GroundingDecision | None = None,
         schema_map: dict[str, str] | None = None,
+        analysis: TextAnalysis | None = None,
     ) -> TransformResult:
         """Produce the receiver-facing payload for one message.
 
@@ -149,6 +150,11 @@ class Transformer:
         caller's grounding decision rejected the message, and with reason
         "security-block" when sanitization blocks it. An aligned grounding
         decision substitutes its corrected text before any stage runs.
+
+        ``analysis`` is the caller's analysis of ``text``. The inject query
+        reuses its vector unless corrected text was substituted, and
+        sanitization reuses it, or the query's analysis, for as long as no
+        stage has rewritten the text.
         """
         trace: list[str] = []
         original = text
@@ -165,7 +171,8 @@ class Transformer:
         # stage 1: inject
         injected: list[str] = []
         if self.memory is not None and self.token_budget > 0:
-            query = self.memory.embedder.embed(text)
+            analysis = analysis_of(text, self.memory.embedder, analysis)
+            query = analysis.vector
             hits = (
                 self.memory.retrieve(query, k=self.top_k, floor=self.retrieval_floor)
                 if query.any()
@@ -188,7 +195,9 @@ class Transformer:
         # stage 2: sanitize
         decision: SecurityDecision | None = None
         if self.security is not None:
-            decision = self.security.evaluate(text, sender, sender_tags=sender_tags)
+            decision = self.security.evaluate(
+                text, sender, sender_tags=sender_tags, analysis=analysis
+            )
             if decision.intervention is Intervention.BLOCK:
                 raise TransformHaltedError(
                     "security-block",

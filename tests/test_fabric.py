@@ -6,7 +6,8 @@ from random import Random
 
 import pytest
 
-from cogfabric.core import AgentProfile, HashingEmbedder, make_envelope
+from cogfabric import fabric, grounding, security
+from cogfabric.core import AgentProfile, HashingEmbedder, TextAnalysis, make_envelope
 from cogfabric.fabric import (
     DeltaStatus,
     DeploymentMode,
@@ -147,6 +148,37 @@ def test_gated_intent_message_releases_load_at_every_stage():
     assert r.state("dba").l_load == 0
 
 
+class _CountingEmbedder(HashingEmbedder):
+    """Records every text it embeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
+
+
+def test_routed_message_is_embedded_once():
+    emb = _CountingEmbedder()
+    r = Router(emb)
+    r.register_agent(AgentProfile.from_skill(emb, "coder", "writes python code and fixes bugs"))
+    n = FabricNode("n0", embedder=emb, router=r, epsilon=0.0)
+    n.memory.add("the office kitchen needs more coffee")
+    emb.texts.clear()
+    text = "fix the python code bug"
+    analysis = TextAnalysis(text, emb)
+    result = n.intercept(make_envelope("alice", text, intent=text), analysis=analysis)
+    assert result.delivered and result.receiver == "coder"
+    assert result.grounding.corrected_text is None
+    assert result.transform.injected == [] and result.security.intervention is None
+    # dispatch, the inject query and the scorer share one embedding, and the
+    # caller's analysis holds it afterwards
+    assert analysis.vector is not None
+    assert emb.texts == [text]
+
+
 def test_full_pipeline_composes_inject_translate_and_policy():
     n = node(retrieval_floor=0.1)
     n.memory.add("Error check: Payment-Gateway returned 503 at 09:15.")
@@ -276,6 +308,32 @@ def test_hard_traffic_forwards_to_core_and_pays_for_it():
     assert result.complexity.value == pytest.approx(1.5)
     assert result.route is RouteDecision.FORWARD_TO_CORE
     assert result.latency.l_net == 3.0  # base hop plus the round trip to core
+
+
+def test_forwarded_message_extracts_entities_and_reads_the_lexicon_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapped(text):
+            calls.append(fn.__name__)
+            return fn(text)
+
+        return wrapped
+
+    # one wrapper per function, installed at every binding the stages call
+    entities, lexicon = counted(grounding.extract_entities), counted(security.lexicon_matches)
+    for module in (fabric, grounding):
+        monkeypatch.setattr(module, "extract_entities", entities)
+    for module in (fabric, security):
+        monkeypatch.setattr(module, "lexicon_matches", lexicon)
+    n = node(mode=DeploymentMode.HYBRID_EDGE, tau_edge=1.0)
+    n.ontology.add_term("db-01", validity=0.9, status="permanent")
+    n.ontology.add_term("Cache-Node", validity=0.9, status="permanent")
+    result = n.intercept(make_envelope("a", HARD_TEXT, to="b"))
+    assert result.delivered and result.route is RouteDecision.FORWARD_TO_CORE
+    assert result.security.triggered == []  # nothing redacted: the text is unchanged
+    # complexity, grounding and the security stage share one pass of each
+    assert sorted(calls) == ["extract_entities", "lexicon_matches"]
 
 
 def test_complexity_routing_requires_hybrid_edge_mode():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from cogfabric.grounding import (
     check_assertions,
     extract_entities,
     gate,
+    _looks_like_entity,
     ghost_check,
     ground,
     translate,
@@ -54,6 +58,64 @@ def test_extract_plain_prose_yields_nothing() -> None:
 
 def test_extract_contractions_are_not_quotes() -> None:
     assert extract_entities("don't stop, it isn't ready") == []
+
+
+# The entity test and extraction as they were before the test became one
+# regex, kept here as the reference the current code must agree with.
+_OLD_QUOTED_RE = re.compile(r"([\"'])([A-Za-z0-9_.\- ]{1,40})\1")
+_OLD_WORD_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_OLD_CAP_SNAKE_RE = re.compile(r"^[A-Z][a-z0-9]*(?:_[A-Z][a-z0-9]*)+$")
+_OLD_INTERIOR_SEP_RE = re.compile(r"[A-Za-z0-9][.\-][A-Za-z0-9]")
+
+
+def _old_looks_like_entity(token: str) -> bool:
+    if any(ch.isdigit() for ch in token):
+        return True
+    if "_" in token:
+        return True
+    if _OLD_INTERIOR_SEP_RE.search(token):
+        return True
+    return bool(_OLD_CAP_SNAKE_RE.match(token))
+
+
+def _old_extract_entities(text: str) -> list[str]:
+    found: list[tuple[int, str]] = []
+    for m in _OLD_QUOTED_RE.finditer(text):
+        span = m.group(2).strip()
+        if span and any(ch.isalnum() for ch in span):
+            found.append((m.start(), span))
+    for m in _OLD_WORD_RE.finditer(text):
+        token = m.group(0).strip("._-")
+        if token and _old_looks_like_entity(token):
+            found.append((m.start(), token))
+    found.sort(key=lambda pair: pair[0])
+    out: list[str] = []
+    for _, ent in found:
+        if ent not in out:
+            out.append(ent)
+    return out
+
+
+_IDENT_CHARS = string.ascii_letters + string.digits + "_.-"
+_TEXT_CHARS = _IDENT_CHARS + " \"'"
+_QUOTED_SPANS = st.tuples(
+    st.sampled_from("\"'"), st.text(alphabet=_IDENT_CHARS + " ", max_size=45)
+).map(lambda pair: pair[0] + pair[1] + pair[0])
+_TEXTS = st.lists(
+    st.one_of(st.text(alphabet=_TEXT_CHARS, max_size=14), _QUOTED_SPANS), max_size=8
+).map(" ".join)
+
+
+@given(st.text(alphabet=_TEXT_CHARS, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_entity_test_agrees_with_the_old_one(token: str) -> None:
+    assert bool(_looks_like_entity(token)) == _old_looks_like_entity(token)
+
+
+@given(_TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_extract_entities_agrees_with_the_old_one(text: str) -> None:
+    assert extract_entities(text) == _old_extract_entities(text)
 
 
 # ---------------------------------------------------------------------------

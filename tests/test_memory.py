@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cogfabric import ann
 from cogfabric.ann import HnswIndex
 from cogfabric.core import DimensionMismatchError, HashingEmbedder, ZeroVectorError
-from cogfabric.memory import EntityStore, Manifest, MemoryStore
+from cogfabric.memory import EntityStore, Manifest, MemoryRecord, MemoryStore
 
 
 EMB = HashingEmbedder()
@@ -164,6 +164,35 @@ def test_non_finite_number_is_refused_before_storing(field, value, with_index) -
     # nothing of the refused record is left behind, so its id is free
     store.add("Payment-Gateway returned 200", record_id="bad")
     assert len(store) == 2
+
+
+@pytest.mark.parametrize("with_index", [False, True], ids=["exact", "indexed"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vector_is_refused_before_storing(bad, with_index) -> None:
+    store = _filled_store(20, seed=5)
+    if with_index:
+        indexed = MemoryStore(EMB, HnswIndex(EMB.dim))
+        for rec in store.records():
+            indexed.add(rec.text, created_at=rec.created_at, importance=rec.importance)
+        store = indexed
+    vector = EMB.embed("alpha beta gamma")
+    vector[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        store.store(MemoryRecord(id="bad", text="alpha beta gamma", vector=vector))
+    assert len(store) == 20 and store.get("bad") is None
+    # nothing of the refused record is left behind, so its id is free
+    store.add("alpha beta gamma", record_id="bad")
+    query = EMB.embed("alpha beta gamma")
+    assert "bad" in [rec.id for rec, _ in store.retrieve(query, k=5)]
+
+
+def test_finite_vector_with_an_overflowing_norm_is_stored() -> None:
+    store = _filled_store(3, seed=5)
+    vector = EMB.embed("alpha beta gamma")
+    vector[3] = 1e200
+    with np.errstate(over="ignore"):
+        store.store(MemoryRecord(id="big", text="alpha beta gamma", vector=vector))
+    assert len(store) == 4 and store.get("big") is not None
 
 
 def test_prune_ttl_boundary_inclusive() -> None:
